@@ -1126,15 +1126,19 @@ let net () =
        (fun (label, us, rate) ->
          [ label; Printf.sprintf "%.1f" us; Printf.sprintf "%.0f" rate ])
        [ inproc; loop_row; tcp_row ]);
-  (* Pipelining sweep: request-id multiplexing lets one connection keep
-     many requests in flight; depth 1 pays a full round trip per op. *)
+  (* Batch-depth sweep: one connection carries [depth] reads per Batch
+     frame, so depth 1 pays a full round trip per op. *)
   print_newline ();
-  Report.heading "Net: TCP pipelining depth sweep (1KB reads)";
+  Report.heading "Net: TCP batch-depth sweep (1KB reads)";
   let sweep_reads = if !full_scale then 4096 else 1024 in
   let oid = new_oid (Netclient.handle client) in
   ignore
     (Netclient.handle client cred (Rpc.Write { oid; off = 0; len = 1024; data = Some payload }));
   let read = Rpc.Read { oid; off = 0; len = 1024; at = None } in
+  let check_read = function
+    | Rpc.R_data _ -> ()
+    | r -> Format.kasprintf failwith "net bench: batched read failed: %a" Rpc.pp_resp r
+  in
   let sweep_rows =
     List.map
       (fun depth ->
@@ -1142,7 +1146,7 @@ let net () =
         let secs, () =
           wall (fun () ->
               for _ = 1 to batches do
-                ignore (Netclient.pipeline client cred (List.init depth (fun _ -> read)))
+                Array.iter check_read (Netclient.submit client cred (Array.make depth read))
               done)
         in
         let n = batches * depth in
@@ -1993,13 +1997,13 @@ let readscale () =
     let mk_oid sess =
       let frame =
         Wire.encode
-          (Wire.Request { xid = 1L; cred; sync = false; req = Rpc.Create { acl = [] } })
+          (Wire.Batch { xid = 1L; cred; sync = false; reqs = [| Rpc.Create { acl = [] } |] })
       in
       Netserver.Session.feed sess frame 0 (Bytes.length frame);
       Netserver.Session.run sess;
       let rec find pos b =
         match Wire.decode b ~pos ~avail:(Bytes.length b - pos) with
-        | Wire.Frame (Wire.Response { resp = Rpc.R_oid oid; _ }, _) -> oid
+        | Wire.Frame (Wire.Batch_reply { resps = [| Rpc.R_oid oid |]; _ }, _) -> oid
         | Wire.Frame (_, used) -> find (pos + used) b
         | _ -> failwith "readscale qos: no oid response"
       in
@@ -2021,12 +2025,13 @@ let readscale () =
     in
     let seed =
       Wire.encode
-        (Wire.Request
+        (Wire.Batch
            {
              xid = 2L;
              cred;
              sync = false;
-             req = Rpc.Write { oid = honest_oid; off = 0; len = 1024; data = Some (Bytes.make 1024 'o') };
+             reqs =
+               [| Rpc.Write { oid = honest_oid; off = 0; len = 1024; data = Some (Bytes.make 1024 'o') } |];
            })
     in
     Netserver.Session.feed honest seed 0 (Bytes.length seed);
@@ -2036,8 +2041,8 @@ let readscale () =
   in
   let honest_read honest_oid xid =
     Wire.encode
-      (Wire.Request
-         { xid; cred; sync = false; req = Rpc.Read { oid = honest_oid; off = 0; len = 1024; at = None } })
+      (Wire.Batch
+         { xid; cred; sync = false; reqs = [| Rpc.Read { oid = honest_oid; off = 0; len = 1024; at = None } |] })
   in
   let run_cell ~qos ~with_hog label =
     let clock, drive, srv, hog, honest, honest_oid, wframe = mk_pair ~qos in
@@ -2146,7 +2151,7 @@ let experiments : (string * string * (unit -> unit)) list =
     ("ablation", "design-parameter sensitivity sweeps", ablation);
     ("faults", "media-fault sweep + crash-recovery spot check", faults);
     ("scale", "sharded-array throughput scaling + rebalance cost", scale);
-    ("net", "wire protocol: in-process vs loopback vs TCP + pipelining", net);
+    ("net", "wire protocol: in-process vs loopback vs TCP + batch-depth sweep", net);
     ("batch", "vectored submission group-commit sweep, batch size 1..64", batch);
     ("integrity", "audit-chain seal overhead vs unsealed, batch size 1..64", integrity_bench);
     ("persist", "sector-store backings: sim vs file vs file+O_DSYNC", persist);

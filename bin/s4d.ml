@@ -47,7 +47,9 @@ let max_batch_arg =
     value
     & opt int Netserver.default_config.Netserver.max_batch
     & info [ "max-batch" ] ~docv:"N"
-        ~doc:"Largest accepted batch frame (advertised to v2 clients in Stat).")
+        ~doc:
+          "Largest accepted batch frame; the handshake advertises it, capped by the \
+           in-flight limit.")
 
 let no_admin_arg =
   Arg.(

@@ -15,21 +15,11 @@ let make ~clock ~keep_data ~capacity ?(concurrency = Serial)
     ?(close = fun () -> ()) submit =
   { clock; keep_data; capacity; concurrency; submit; close }
 
-let of_handle ~clock ~keep_data ~capacity ?(close = fun () -> ())
-    (h : Rpc.credential -> ?sync:bool -> Rpc.req -> Rpc.resp) =
-  (* Group commit over a single-request handler: the barrier rides on
-     the last request of the batch, everything before it is unsynced.
-     A legacy handler can only barrier through a request, so the empty
-     batch falls back to an explicit (audited) Sync RPC. *)
-  let submit cred ?(sync = false) reqs =
-    let n = Array.length reqs in
-    if n = 0 then begin
-      if sync then ignore (h cred ~sync:true Rpc.Sync);
-      [||]
-    end
-    else
-      Array.mapi
-        (fun i req -> h cred ~sync:(sync && i = n - 1) req)
-        reqs
-  in
-  { clock; keep_data; capacity; concurrency = Serial; submit; close }
+let resp_ok = function Rpc.R_error _ -> false | _ -> true
+
+let group_commit ~sync barrier x resps =
+  if sync && (Array.length resps = 0 || Array.exists resp_ok resps) then
+    match barrier x with
+    | None -> resps
+    | Some err -> Array.map (fun r -> if resp_ok r then Rpc.R_error err else r) resps
+  else resps

@@ -89,20 +89,12 @@ val make :
 (** Build a backend. [concurrency] defaults to [Serial]; only declare
     [Domain_safe] when every entry point really is. *)
 
-val of_handle :
-  clock:S4_util.Simclock.t ->
-  keep_data:bool ->
-  capacity:(unit -> int * int) ->
-  ?close:(unit -> unit) ->
-  (Rpc.credential -> ?sync:bool -> Rpc.req -> Rpc.resp) ->
-  t
-  [@@ocaml.deprecated
-    "use Backend.make with a native vectored submit; of_handle cannot group-commit"]
-(** Wrap a legacy single-request handler that has no native group
-    commit: the batch runs one request at a time with [sync:false]
-    and, when [sync], the barrier is a trailing [Rpc.Sync] request.
-
-    @deprecated Every in-repo producer now implements [submit]
-    natively (drive, mirror, router, wire client, modelled client);
-    new producers should too. The wrapper survives one more release
-    for out-of-tree callers and then goes away. *)
+val group_commit :
+  sync:bool -> ('a -> Rpc.error option) -> 'a -> Rpc.resp array -> Rpc.resp array
+(** [group_commit ~sync barrier x resps] applies the batch durability
+    rule to the responses of an executed batch, for every native
+    [submit] (drive, mirror, router). When [sync] is set and the batch
+    was empty or has any success, it runs [barrier x]; if that fails,
+    every success is rewritten to the barrier's error. [barrier] and
+    [x] are passed apart so the caller builds no closure: the unsynced
+    path allocates nothing. *)

@@ -274,16 +274,9 @@ let barrier t =
       None
     | Some e, Some _ -> Some e)
 
-let resp_ok = function Rpc.R_error _ -> false | _ -> true
-
 let submit t cred ?(sync = false) reqs =
-  let resps = Array.map (fun req -> handle t cred ~sync:false req) reqs in
-  if sync && (Array.length reqs = 0 || Array.exists resp_ok resps) then
-    match barrier t with
-    | None -> resps
-    | Some err ->
-      Array.map (fun r -> if resp_ok r then Rpc.R_error err else r) resps
-  else resps
+  S4.Backend.group_commit ~sync barrier t
+    (Array.map (fun req -> handle t cred ~sync:false req) reqs)
 
 let resync t =
   if t.primary_failed && t.secondary_failed then Error "mirror: no live replica to resync from"

@@ -9,14 +9,8 @@ type config = {
   jitter : float;
   seed : int;
   claim_client : int;
-  advertise_version : int;
-      (* protocol version offered in Hello; lower it to exercise the
-         v1 fallback against a batch-capable server *)
   max_batch : int;  (* largest Batch frame this client will send *)
-  cache_budget : int;
-      (* lease-cache LRU budget in bytes; 0 disables the cache. Only
-         effective on a v3 session — an older server grants no leases,
-         which leaves the cache permanently empty. *)
+  cache_budget : int;  (* lease-cache LRU budget in bytes; 0 disables the cache *)
   cache_journal : bool;  (* record the cache event journal for Cache.check *)
 }
 
@@ -28,7 +22,6 @@ let default_config =
     jitter = 0.25;
     seed = 42;
     claim_client = 1;
-    advertise_version = Wire.version;
     max_batch = 256;
     cache_budget = 0;
     cache_journal = false;
@@ -41,8 +34,7 @@ type t = {
   mutable ep : Transport.endpoint option;
   mutable c_identity : int;
   mutable c_server_now : int64;
-  mutable c_version : int;  (* negotiated in the handshake *)
-  mutable c_batch_limit : int;  (* server's advertised max batch; 0 unknown *)
+  mutable c_batch_limit : int;  (* server's advertised max batch; 0 before the handshake *)
   mutable next_xid : int64;
   mutable inbuf : Bytes.t;
   mutable in_len : int;
@@ -63,7 +55,6 @@ let connect ?(config = default_config) transport =
     ep = None;
     c_identity = 0;
     c_server_now = 0L;
-    c_version = min config.advertise_version Wire.version;
     c_batch_limit = 0;
     next_xid = 1L;
     inbuf = Bytes.create 4096;
@@ -81,12 +72,12 @@ let identity t = t.c_identity
 let server_now t = t.c_server_now
 let cache t = t.c_cache
 
-(* Every v3 reply carries the server clock; the cache judges lease
-   expiry against the freshest value seen. *)
+(* Every reply carries the server clock; the cache judges lease expiry
+   against the freshest value seen. *)
 let observe_now t now =
   if now > t.c_server_now then t.c_server_now <- now;
   match t.c_cache with Some c -> Cache.observe_now c now | None -> ()
-let version t = t.c_version
+
 let server_batch_limit t = t.c_batch_limit
 let retries t = t.n_retries
 let reconnects t = t.n_reconnects
@@ -101,8 +92,8 @@ let fresh_xid t =
   t.next_xid <- Int64.add x 1L;
   x
 
-let send ?version e frame =
-  let b = Wire.encode ?version frame in
+let send e frame =
+  let b = Wire.encode frame in
   Metrics.incr "net/frames_out";
   Metrics.incr ~by:(Bytes.length b) "net/bytes_out";
   e.Transport.ep_send b
@@ -148,18 +139,13 @@ let ensure_ep t =
         e.Transport.ep_set_timeout (Some t.cfg.req_timeout_s);
         t.ep <- Some e;
         t.in_len <- 0;
-        (* The Hello bootstraps negotiation, so its header version is
-           the floor every peer can decode; the payload advertises our
-           best. The server acks the min of the two. *)
-        send ~version:Wire.min_version e
-          (Wire.Hello { version = t.cfg.advertise_version; claim = t.cfg.claim_client });
+        send e (Wire.Hello { claim = t.cfg.claim_client });
         let rec await () =
           match recv_frame t e with
-          | Wire.Hello_ack { version; identity; now } ->
-            t.c_version <- max Wire.min_version (min version t.cfg.advertise_version);
+          | Wire.Hello_ack { identity; now; batch } ->
             t.c_identity <- identity;
-            if now > t.c_server_now then t.c_server_now <- now;
-            (match t.c_cache with Some c -> Cache.observe_now c now | None -> ())
+            t.c_batch_limit <- batch;
+            observe_now t now
           | Wire.Proto_error { message; _ } ->
             raise (Permanent ("handshake refused: " ^ message))
           | _ -> await ()
@@ -173,35 +159,6 @@ let ensure_ep t =
         ok := true);
     if not !ok then t.ep <- None;
     e
-
-(* One request on the live endpoint; answers with the response and the
-   lease the server piggybacked on it (0 on a v1/v2 session). *)
-let rpc_once t cred sync req : Rpc.resp * int64 =
-  let e = ensure_ep t in
-  let xid = fresh_xid t in
-  send ~version:t.c_version e (Wire.Request { xid; cred; sync; req });
-  let rec await () =
-    match recv_frame t e with
-    | Wire.Response { xid = x; resp; now; lease } when Int64.equal x xid ->
-      observe_now t now;
-      (resp, lease)
-    | Wire.Response { now; _ } ->
-      (* stale answer from a timed-out request *)
-      observe_now t now;
-      await ()
-    | Wire.Proto_error { message; _ } ->
-      drop_ep t;
-      raise (Permanent ("server rejected request: " ^ message))
-    | Wire.Hello_ack { identity; now; _ } ->
-      t.c_identity <- identity;
-      observe_now t now;
-      await ()
-    | Wire.Stat_ack _ | Wire.Batch_reply _ -> await ()
-    | Wire.Hello _ | Wire.Request _ | Wire.Stat _ | Wire.Goodbye | Wire.Batch _ ->
-      drop_ep t;
-      raise Transport.Closed
-  in
-  await ()
 
 let backoff t attempt =
   let base = t.cfg.backoff_ms *. (2.0 ** float_of_int attempt) in
@@ -219,171 +176,51 @@ let failure_message = function
   | Unix.Unix_error (e, _, _) -> Unix.error_message e
   | exn -> Printexc.to_string exn
 
-let handle_wire t cred ~sync req : Rpc.resp * int64 =
-  let idempotent = not (Rpc.is_mutation req) in
-  let rec go attempt =
-    match rpc_once t cred sync req with
-    | answer -> answer
-    | exception Permanent msg -> (Rpc.R_error (Rpc.Io_error msg), 0L)
-    | exception exn when transient_failure exn ->
-      drop_ep t;
-      if idempotent && attempt < t.cfg.max_retries then begin
-        t.n_retries <- t.n_retries + 1;
-        Metrics.incr "net/retry";
-        backoff t attempt;
-        go (attempt + 1)
+(* One [Batch] frame on the live endpoint; answers with the responses
+   and the lease the server piggybacked on each. *)
+let batch_once t e cred sync (reqs : Rpc.req array) : Rpc.resp array * int64 array =
+  let xid = fresh_xid t in
+  send e (Wire.Batch { xid; cred; sync; reqs });
+  let rec await () =
+    match recv_frame t e with
+    | Wire.Batch_reply { xid = x; resps; now; leases } when Int64.equal x xid ->
+      observe_now t now;
+      if Array.length resps = Array.length reqs then (resps, leases)
+      else begin
+        drop_ep t;
+        raise (Permanent "batch response count mismatch")
       end
-      else (Rpc.R_error (Rpc.Io_error (failure_message exn)), 0L)
-  in
-  go 0
-
-let handle t cred ?(sync = false) req : Rpc.resp =
-  match t.c_cache with
-  | None -> fst (handle_wire t cred ~sync req)
-  | Some cache -> (
-    match Cache.find cache cred req with
-    | Some resp ->
-      Metrics.incr "net/cache_served";
-      resp
-    | None ->
-      let resp, lease = handle_wire t cred ~sync req in
-      if Rpc.is_mutation req then Cache.invalidate_req cache req
-      else Cache.store cache cred req resp ~lease;
-      resp)
-
-let pipeline t cred ?(sync = false) reqs : Rpc.resp list =
-  match reqs with
-  | [] -> []
-  | _ -> (
-    let fallback msg = List.map (fun _ -> Rpc.R_error (Rpc.Io_error msg)) reqs in
-    match ensure_ep t with
-    | exception Permanent msg -> fallback msg
-    | exception exn when transient_failure exn ->
+    | Wire.Batch_reply _ | Wire.Hello_ack _ | Wire.Stat_ack _ ->
+      await () (* stale answers from a timed-out exchange *)
+    | Wire.Proto_error { message; _ } ->
       drop_ep t;
-      fallback (failure_message exn)
-    | e -> (
-      try
-        let xids =
-          List.map
-            (fun req ->
-              let xid = fresh_xid t in
-              send ~version:t.c_version e (Wire.Request { xid; cred; sync; req });
-              xid)
-            reqs
-        in
-        let answers : (int64, Rpc.resp) Hashtbl.t = Hashtbl.create (List.length reqs) in
-        let outstanding = ref (List.length reqs) in
-        while !outstanding > 0 do
-          match recv_frame t e with
-          | Wire.Response { xid; resp; now; _ } ->
-            observe_now t now;
-            if not (Hashtbl.mem answers xid) then begin
-              Hashtbl.add answers xid resp;
-              decr outstanding
-            end
-          | Wire.Proto_error { message; _ } ->
-            drop_ep t;
-            raise (Permanent ("server rejected request: " ^ message))
-          | _ -> ()
-        done;
-        List.map
-          (fun xid ->
-            match Hashtbl.find_opt answers xid with
-            | Some r -> r
-            | None -> Rpc.R_error (Rpc.Io_error "no response"))
-          xids
-      with
-      | Permanent msg -> fallback msg
-      | exn when transient_failure exn ->
-        drop_ep t;
-        fallback (failure_message exn)))
+      raise (Permanent ("server rejected request: " ^ message))
+    | Wire.Hello _ | Wire.Stat _ | Wire.Goodbye | Wire.Batch _ ->
+      drop_ep t;
+      raise Transport.Closed
+  in
+  await ()
 
-(* One batched exchange on the live endpoint. On a v2 session this is
-   a single [Batch] frame (one group-commit barrier server-side); a
-   peer negotiated down to v1 gets pipelined [Request] frames with the
-   durability barrier riding on the last one — the closest v1
-   approximation of group commit. *)
-let batch_once t cred sync (reqs : Rpc.req array) : Rpc.resp array * int64 array =
+(* Send the slice of [reqs] starting at [pos] as one [Batch], record its
+   answers, and return where the next slice starts. The server's batch
+   limit arrives in the handshake, so the slice is cut only once
+   connected. The barrier rides only on the last slice, so an oversize
+   submission still pays one group commit. *)
+let send_slice t cred ~sync reqs out out_leases pos =
   let e = ensure_ep t in
-  if t.c_version >= 2 then begin
-    let xid = fresh_xid t in
-    send ~version:t.c_version e (Wire.Batch { xid; cred; sync; reqs });
-    let rec await () =
-      match recv_frame t e with
-      | Wire.Batch_reply { xid = x; resps; now; leases } when Int64.equal x xid ->
-        observe_now t now;
-        if Array.length resps = Array.length reqs then
-          ( resps,
-            if Array.length leases = Array.length resps then leases
-            else Array.make (Array.length resps) 0L )
-        else begin
-          drop_ep t;
-          raise (Permanent "batch response count mismatch")
-        end
-      | Wire.Batch_reply _ | Wire.Response _ -> await () (* stale answers *)
-      | Wire.Proto_error { message; _ } ->
-        drop_ep t;
-        raise (Permanent ("server rejected request: " ^ message))
-      | Wire.Hello_ack { identity; now; _ } ->
-        t.c_identity <- identity;
-        observe_now t now;
-        await ()
-      | Wire.Stat_ack _ -> await ()
-      | Wire.Hello _ | Wire.Request _ | Wire.Stat _ | Wire.Goodbye | Wire.Batch _ ->
-        drop_ep t;
-        raise Transport.Closed
-    in
-    await ()
-  end
-  else begin
-    let n = Array.length reqs in
-    if n = 0 then begin
-      (* No request to carry the barrier on a v1 session: an explicit
-         (audited) Sync is the only barrier v1 has. *)
-      if sync then ignore (rpc_once t cred true Rpc.Sync);
-      ([||], [||])
-    end
-    else begin
-      let xids =
-        Array.mapi
-          (fun i req ->
-            let xid = fresh_xid t in
-            send ~version:t.c_version e
-              (Wire.Request { xid; cred; sync = sync && i = n - 1; req });
-            xid)
-          reqs
-      in
-      let answers : (int64, Rpc.resp) Hashtbl.t = Hashtbl.create n in
-      let outstanding = ref n in
-      while !outstanding > 0 do
-        match recv_frame t e with
-        | Wire.Response { xid; resp; now; _ } ->
-          observe_now t now;
-          if not (Hashtbl.mem answers xid) then begin
-            Hashtbl.add answers xid resp;
-            decr outstanding
-          end
-        | Wire.Proto_error { message; _ } ->
-          drop_ep t;
-          raise (Permanent ("server rejected request: " ^ message))
-        | _ -> ()
-      done;
-      ( Array.map
-          (fun xid ->
-            match Hashtbl.find_opt answers xid with
-            | Some r -> r
-            | None -> Rpc.R_error (Rpc.Io_error "no response"))
-          xids,
-        Array.make n 0L )
-    end
-  end
+  let limit =
+    max 1
+      (if t.c_batch_limit > 0 then min t.c_batch_limit t.cfg.max_batch else t.cfg.max_batch)
+  in
+  let n = Array.length reqs in
+  let len = min limit (n - pos) in
+  let resps, leases = batch_once t e cred (sync && pos + len >= n) (Array.sub reqs pos len) in
+  Array.blit resps 0 out pos len;
+  Array.blit leases 0 out_leases pos len;
+  pos + len
 
 let submit_wire t cred ~sync (reqs : Rpc.req array) : Rpc.resp array * int64 array =
   let n = Array.length reqs in
-  let limit =
-    let l = if t.c_batch_limit > 0 then min t.c_batch_limit t.cfg.max_batch else t.cfg.max_batch in
-    max 1 l
-  in
   let idempotent = not (Array.exists Rpc.is_mutation reqs) in
   let out = Array.make n (Rpc.R_error (Rpc.Io_error "not executed")) in
   let out_leases = Array.make n 0L in
@@ -392,36 +229,25 @@ let submit_wire t cred ~sync (reqs : Rpc.req array) : Rpc.resp array * int64 arr
       out.(i) <- Rpc.R_error (Rpc.Io_error msg)
     done
   in
-  (* An oversize submission is sliced to the batch limit; the barrier
-     rides only on the last slice, so the whole submission still pays
-     one group commit. *)
   let rec run pos =
-    if pos >= n && not (n = 0 && sync) then ()
-    else begin
-      let len = min limit (n - pos) in
-      let chunk = if n = 0 then [||] else Array.sub reqs pos len in
-      let last = pos + len >= n in
-      let rec attempt k =
-        match batch_once t cred (sync && last) chunk with
-        | resps, leases ->
-          Array.blit resps 0 out pos len;
-          if Array.length leases = len then Array.blit leases 0 out_leases pos len;
-          if last then () else run (pos + len)
-        | exception Permanent msg -> fill_from pos msg
-        | exception exn when transient_failure exn ->
-          drop_ep t;
-          if idempotent && k < t.cfg.max_retries then begin
-            t.n_retries <- t.n_retries + 1;
-            Metrics.incr "net/retry";
-            backoff t k;
-            attempt (k + 1)
-          end
-          else fill_from pos (failure_message exn)
-      in
-      attempt 0
-    end
+    let rec attempt k =
+      match send_slice t cred ~sync reqs out out_leases pos with
+      | next -> if next < n then run next
+      | exception Permanent msg -> fill_from pos msg
+      | exception exn when transient_failure exn ->
+        drop_ep t;
+        if idempotent && k < t.cfg.max_retries then begin
+          t.n_retries <- t.n_retries + 1;
+          Metrics.incr "net/retry";
+          backoff t k;
+          attempt (k + 1)
+        end
+        else fill_from pos (failure_message exn)
+    in
+    attempt 0
   in
-  run 0;
+  (* An empty submission only crosses the wire as a pure barrier. *)
+  if n > 0 || sync then run 0;
   (out, out_leases)
 
 let submit t cred ?(sync = false) (reqs : Rpc.req array) : Rpc.resp array =
@@ -463,16 +289,17 @@ let submit t cred ?(sync = false) (reqs : Rpc.req array) : Rpc.resp array =
     end;
     Array.map (function Some r -> r | None -> Rpc.R_error (Rpc.Io_error "not executed")) out
 
+let handle t cred ?(sync = false) req = (submit t cred ~sync [| req |]).(0)
+
 let capacity t =
   let once () =
     let e = ensure_ep t in
     let xid = fresh_xid t in
-    send ~version:t.c_version e (Wire.Stat { xid });
+    send e (Wire.Stat { xid });
     let rec await () =
       match recv_frame t e with
-      | Wire.Stat_ack { xid = x; total; free; now; batch } when Int64.equal x xid ->
+      | Wire.Stat_ack { xid = x; total; free; now } when Int64.equal x xid ->
         observe_now t now;
-        if batch > 0 then t.c_batch_limit <- batch;
         (total, free)
       | Wire.Proto_error { message; _ } ->
         drop_ep t;
@@ -499,7 +326,7 @@ let capacity t =
 
 let close t =
   (match t.ep with
-  | Some e -> ( try send ~version:t.c_version e Wire.Goodbye with _ -> ())
+  | Some e -> ( try send e Wire.Goodbye with _ -> ())
   | None -> ());
   drop_ep t
 

@@ -33,11 +33,12 @@ type config = {
       (** accept frames whose credential claims [admin]; refuse with
           [Permission_denied] when false (admin stays console-only) *)
   max_batch : int;
-      (** largest accepted [Batch] frame (requests per batch);
-          advertised to v2 peers in [Stat_ack] *)
+      (** largest accepted [Batch] frame (requests per batch). The
+          handshake advertises [min max_batch max_inflight], the
+          largest batch a connection will actually admit. *)
   lease_ns : int64;
       (** client-cache lease term: every successful [Read]/[Get_attr]
-          reply on a v3 session carries an absolute expiry of
+          reply carries an absolute expiry of
           [now + lease_ns], authorizing the client to serve that
           answer from its cache until then. The server honours the
           classic lease discipline in return: a mutation that could
@@ -115,9 +116,8 @@ module Session : sig
       are queued for {!step}. Input after close is discarded. *)
 
   val step : s -> bool
-  (** Execute one queued request — or one whole queued batch, as ONE
-      vectored backend submission with a single group-commit barrier —
-      under the server lock (or lock-free against a [Domain_safe]
+  (** Execute one queued batch, as ONE vectored backend submission
+      with a single group-commit barrier, under the server lock (or lock-free against a [Domain_safe]
       backend, see {!create}), and queue its response bytes. False if
       nothing was pending. *)
 
@@ -138,10 +138,6 @@ module Session : sig
   (** Closing, nothing pending, nothing buffered: drop the connection. *)
 
   val identity : s -> int
-
-  val version : s -> int
-  (** Negotiated protocol version (set by the peer's [Hello]; starts
-      at {!Wire.version}). Batch frames are refused below 2. *)
 end
 
 (** {1 TCP daemon} *)

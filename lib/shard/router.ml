@@ -737,8 +737,6 @@ let members = drive_entries
 
 let store_of t oid = shard_store (shard t (holder t oid))
 
-let resp_ok = function Rpc.R_error _ -> false | _ -> true
-
 (* Reads routed purely by oid: no global state consulted, no state
    mutated, so a run of them may execute back-to-back and be charged
    as concurrent work across the distinct shards (and mirror replicas)
@@ -894,12 +892,7 @@ let submit t cred ?(sync = false) reqs =
     end
     end
   done;
-  if sync && (n = 0 || Array.exists resp_ok resps) then
-    match barrier t with
-    | None -> resps
-    | Some err ->
-      Array.map (fun r -> if resp_ok r then Rpc.R_error err else r) resps
-  else resps
+  S4.Backend.group_commit ~sync barrier t resps
 
 (* ------------------------------------------------------------------ *)
 (* Degraded-mode reporting                                             *)

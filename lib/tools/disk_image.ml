@@ -2,11 +2,10 @@
    a drive across invocations. The image holds the geometry, the
    simulated clock, and the sparse sector contents.
 
-   v2 images carry a trailing CRC-32 over everything between the magic
+   Images carry a trailing CRC-32 over everything between the magic
    and the checksum, and [save] is atomic: the new image is written to
    a temp file, fsynced, renamed over the old one, and the directory
-   entry flushed — a crash mid-save leaves the previous image intact.
-   v1 images (no CRC) are still readable. *)
+   entry flushed — a crash mid-save leaves the previous image intact. *)
 
 module Bcodec = S4_util.Bcodec
 module Crc32 = S4_util.Crc32
@@ -16,7 +15,6 @@ module Sim_disk = S4_disk.Sim_disk
 module File_disk = S4_disk.File_disk
 module Chain = S4_integrity.Chain
 
-let magic_v1 = "S4IMG1\n"
 let magic = "S4IMG2\n"
 
 let corrupt path fmt =
@@ -119,31 +117,7 @@ let r_bytes c n what =
 
 let remaining c = String.length c.buf - c.pos
 
-let decode_geometry_v1 r =
-  let name = Bcodec.r_string r in
-  let sector_size = Bcodec.r_int r in
-  let sectors = Bcodec.r_int r in
-  let rpm = Bcodec.r_int r in
-  let track_sectors = Bcodec.r_int r in
-  let min_seek_ms = Int64.float_of_bits (Bcodec.r_i64 r) in
-  let avg_seek_ms = Int64.float_of_bits (Bcodec.r_i64 r) in
-  let max_seek_ms = Int64.float_of_bits (Bcodec.r_i64 r) in
-  let transfer_mb_s = Int64.float_of_bits (Bcodec.r_i64 r) in
-  if sector_size <= 0 || sector_size > 1 lsl 20 || sectors <= 0 then
-    raise (Bcodec.Decode_error "implausible geometry");
-  {
-    Geometry.name;
-    sector_size;
-    sectors;
-    rpm;
-    track_sectors;
-    min_seek_ms;
-    avg_seek_ms;
-    max_seek_ms;
-    transfer_mb_s;
-  }
-
-let load_body ~v1 path body =
+let load_body path body =
   let c = { buf = body; pos = 0; path } in
   let hlen = r_u32 c "header length" in
   if hlen < 0 || hlen > remaining c then corrupt path "bad header length %d" hlen;
@@ -151,10 +125,10 @@ let load_body ~v1 path body =
   let geometry, now, head =
     match
       let r = Bcodec.reader header in
-      let g = if v1 then decode_geometry_v1 r else Geometry.decode r in
+      let g = Geometry.decode r in
       let now = Bcodec.r_i64 r in
       let head =
-        if v1 || Bcodec.remaining r = 0 then None
+        if Bcodec.remaining r = 0 then None
         else if Bcodec.r_u8 r = 0 then None
         else Some (Chain.read_head r)
       in
@@ -186,23 +160,15 @@ let load_body ~v1 path body =
 let load path =
   let raw = read_whole_file path in
   let starts m = String.length raw >= String.length m && String.sub raw 0 (String.length m) = m in
-  if starts magic then begin
-    (* v2: trailing CRC-32 over everything between magic and checksum. *)
-    let mlen = String.length magic in
-    if String.length raw < mlen + 4 then corrupt path "truncated (no checksum)";
-    let body = String.sub raw mlen (String.length raw - mlen - 4) in
-    let stored =
-      Int32.to_int (String.get_int32_be raw (String.length raw - 4)) land 0xFFFFFFFF
-    in
-    let crc = Int32.to_int (Crc32.string body) land 0xFFFFFFFF in
-    if stored <> crc then
-      corrupt path "checksum mismatch (stored %08x, computed %08x)" stored crc;
-    load_body ~v1:false path body
-  end
-  else if starts magic_v1 then
-    load_body ~v1:true path (String.sub raw (String.length magic_v1)
-                               (String.length raw - String.length magic_v1))
-  else failwith (path ^ ": not an S4 image")
+  if not (starts magic) then failwith (path ^ ": not an S4 image");
+  (* Trailing CRC-32 over everything between magic and checksum. *)
+  let mlen = String.length magic in
+  if String.length raw < mlen + 4 then corrupt path "truncated (no checksum)";
+  let body = String.sub raw mlen (String.length raw - mlen - 4) in
+  let stored = Int32.to_int (String.get_int32_be raw (String.length raw - 4)) land 0xFFFFFFFF in
+  let crc = Int32.to_int (Crc32.string body) land 0xFFFFFFFF in
+  if stored <> crc then corrupt path "checksum mismatch (stored %08x, computed %08x)" stored crc;
+  load_body path body
 
 (* ------------------------------------------------------------------ *)
 (* Format dispatch: serialized images vs. file-backed stores            *)
@@ -222,7 +188,7 @@ let kind path =
           String.length probe >= String.length m && String.sub probe 0 (String.length m) = m
         in
         if starts File_disk.magic then File_store
-        else if starts magic || starts magic_v1 then Image
+        else if starts magic then Image
         else Unknown)
 
 let load_any ?(dsync = false) path =

@@ -6,9 +6,11 @@
     crash-recovery path ({!S4.Drive.attach}) on every load.
 
     Two on-disk formats exist:
-    - {e serialized images} ("S4IMG2\n", legacy "S4IMG1\n"): a one-shot
-      dump written by {!save}; v2 adds a trailing CRC-32 and every load
-      bounds-checks the sector records against the declared geometry.
+    - {e serialized images} ("S4IMG2\n"): a one-shot dump written by
+      {!save}, with a trailing CRC-32; every load bounds-checks the
+      sector records against the declared geometry. The CRC-less
+      "S4IMG1\n" format is no longer read: {!kind} reports it as
+      [Unknown].
     - {e file-backed stores} ({!S4_disk.File_disk}, "S4FDSK1\n"):
       sectors live at fixed offsets and are pwritten as the drive runs,
       so acknowledged writes survive [kill -9].
@@ -17,14 +19,14 @@
     daemon and CLI work with either transparently. *)
 
 val save : string -> S4_util.Simclock.t -> S4_disk.Sim_disk.t -> unit
-(** Atomically replace [path] with a v2 image: write to [path ^ ".tmp"],
+(** Atomically replace [path] with an image: write to [path ^ ".tmp"],
     fsync, rename over [path], and fsync the directory. A crash at any
     point leaves either the old or the new image, never a torn one.
     @raise Sys_error on I/O problems (the temp file is removed). *)
 
 val load : string -> S4_util.Simclock.t * S4_disk.Sim_disk.t
-(** Load a serialized image (v2 or legacy v1), verifying the v2
-    checksum and bounds-checking the header and every sector record.
+(** Load a serialized image, verifying its checksum and
+    bounds-checking the header and every sector record.
     @raise Failure ["<path>: not an S4 image"] on a foreign file,
     ["<path>: corrupt image (...)"] on a damaged one;
     @raise Sys_error on I/O problems. *)

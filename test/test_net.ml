@@ -152,25 +152,25 @@ let gen_frame =
     let xid = map Int64.of_int (0 -- 1_000_000) in
     frequency
       [
-        (1, map2 (fun version claim -> Wire.Hello { version; claim }) (0 -- 3) gen_principal);
+        (1, map (fun claim -> Wire.Hello { claim }) gen_principal);
         ( 1,
-          let* version = 0 -- 3 and* identity = gen_principal and* now = gen_time in
-          return (Wire.Hello_ack { version; identity; now }) );
+          let* identity = gen_principal and* now = gen_time and* batch = 0 -- 1024 in
+          return (Wire.Hello_ack { identity; now; batch }) );
         ( 6,
           let* xid = xid and* cred = gen_cred and* sync = bool and* req = gen_req in
-          return (Wire.Request { xid; cred; sync; req }) );
+          return (Wire.Batch { xid; cred; sync; reqs = [| req |] }) );
         ( 6,
           let* xid = xid and* resp = gen_resp and* now = gen_time
           and* lease = gen_time in
-          return (Wire.Response { xid; resp; now; lease }) );
+          return (Wire.Batch_reply { xid; resps = [| resp |]; now; leases = [| lease |] }) );
         ( 1,
           let* xid = xid and* message = gen_name in
           return (Wire.Proto_error { xid; message }) );
         (1, map (fun xid -> Wire.Stat { xid }) xid);
         ( 1,
           let* xid = xid and* total = 0 -- 1_000_000 and* free = 0 -- 1_000_000
-          and* now = gen_time and* batch = 0 -- 1024 in
-          return (Wire.Stat_ack { xid; total; free; now; batch }) );
+          and* now = gen_time in
+          return (Wire.Stat_ack { xid; total; free; now }) );
         (1, return Wire.Goodbye);
         ( 2,
           let* xid = xid and* cred = gen_cred and* sync = bool
@@ -250,7 +250,60 @@ let test_oversized_rejected_from_header () =
 (* --- sans-IO session -------------------------------------------------- *)
 
 let request xid req =
-  Wire.encode (Wire.Request { xid = Int64.of_int xid; cred; sync = false; req })
+  Wire.encode (Wire.Batch { xid = Int64.of_int xid; cred; sync = false; reqs = [| req |] })
+
+(* [b] re-stamped with header version [v], CRC recomputed, so the
+   version byte is the only thing wrong with it. *)
+let restamp b v =
+  let b = Bytes.copy b in
+  Bytes.set_uint8 b 4 v;
+  let n = Bytes.length b - 4 in
+  S4_util.Bcodec.set_u32 b n (Int32.to_int (S4_util.Crc32.sub b ~pos:0 ~len:n) land 0xFFFFFFFF);
+  b
+
+let test_foreign_version_rejected () =
+  let frames =
+    [
+      Wire.encode (Wire.Hello { claim = 1 });
+      Wire.encode (Wire.Stat { xid = 3L });
+      Wire.encode Wire.Goodbye;
+      request 1 Rpc.Sync;
+    ]
+  in
+  List.iter
+    (fun b ->
+      (match Wire.decode b ~pos:0 ~avail:(Bytes.length b) with
+      | Wire.Frame _ -> ()
+      | _ -> Alcotest.fail "own version must decode");
+      for v = 0 to 255 do
+        if v <> Wire.version then
+          let b = restamp b v in
+          match Wire.decode b ~pos:0 ~avail:(Bytes.length b) with
+          | Wire.Corrupt m ->
+            check Alcotest.bool "rejected for its version" true
+              (String.starts_with ~prefix:"unsupported version" m)
+          | Wire.Frame _ -> Alcotest.failf "version %d frame accepted" v
+          | Wire.Need_more _ -> Alcotest.failf "version %d frame awaited more bytes" v
+      done)
+    frames;
+  (* A live session answers a stale peer's handshake like any garbage:
+     one protocol error, an audit record, a closed connection. *)
+  let drive = mk_drive () in
+  let sess = Netserver.Session.create ~identity:5 (Netserver.of_drive drive) in
+  let stale = restamp (List.hd frames) (Wire.version - 1) in
+  Netserver.Session.feed sess stale 0 (Bytes.length stale);
+  Netserver.Session.run sess;
+  check Alcotest.bool "session closing" true (Netserver.Session.closing sess);
+  (match decode_all (Netserver.Session.output sess) with
+  | [ Wire.Proto_error _ ] -> ()
+  | fs -> Alcotest.failf "expected one Proto_error, got %d frames" (List.length fs));
+  match
+    List.filter
+      (fun (r : Audit.record) -> r.Audit.op = "net_reject")
+      (Audit.records (Drive.audit drive) ())
+  with
+  | [ r ] -> check Alcotest.int "audit names the connection" 5 r.Audit.client
+  | rs -> Alcotest.failf "expected one net_reject audit record, got %d" (List.length rs)
 
 let test_session_garbage_audited () =
   let drive = mk_drive () in
@@ -287,7 +340,7 @@ let test_session_max_inflight () =
   let sess = Netserver.Session.create srv in
   let burst = Bytes.concat Bytes.empty (List.init 3 (fun i -> request i Rpc.Sync)) in
   Netserver.Session.feed sess burst 0 (Bytes.length burst);
-  check Alcotest.bool "over-limit pipelining closes the connection" true
+  check Alcotest.bool "an over-limit burst closes the connection" true
     (Netserver.Session.closing sess);
   Netserver.Session.run sess;
   let frames = decode_all (Netserver.Session.output sess) in
@@ -479,7 +532,7 @@ let tcp_client ?(max_retries = 1) port =
   in
   Netclient.connect ~config (Nettransport.tcp ~host:"127.0.0.1" ~port)
 
-let test_tcp_rpc_and_pipelining () =
+let test_tcp_rpc () =
   with_tcp_server (fun _drive port ->
       let client = tcp_client port in
       let oid = create_object (Netclient.handle client) in
@@ -490,16 +543,12 @@ let test_tcp_rpc_and_pipelining () =
        with
       | Rpc.R_unit -> ()
       | r -> Alcotest.failf "tcp write: %a" Rpc.pp_resp r);
-      let reads =
-        List.init 16 (fun _ -> Rpc.Read { oid; off = 0; len = Bytes.length payload; at = None })
-      in
-      let resps = Netclient.pipeline client cred reads in
-      check Alcotest.int "one response per request" 16 (List.length resps);
-      List.iter
-        (function
-          | Rpc.R_data b -> check Alcotest.bytes "pipelined read" payload b
-          | r -> Alcotest.failf "pipelined read: %a" Rpc.pp_resp r)
-        resps;
+      (match
+         Netclient.handle client cred
+           (Rpc.Read { oid; off = 0; len = Bytes.length payload; at = None })
+       with
+      | Rpc.R_data b -> check Alcotest.bytes "tcp read" payload b
+      | r -> Alcotest.failf "tcp read: %a" Rpc.pp_resp r);
       Netclient.close client)
 
 let test_tcp_garbage_then_service () =
@@ -552,15 +601,14 @@ let test_tcp_shutdown_refuses_new_work () =
   | Rpc.R_error (Rpc.Io_error _) -> ()
   | r -> Alcotest.failf "expected Io_error after shutdown, got %a" Rpc.pp_resp r
 
-(* --- batched submission and version negotiation ----------------------- *)
+(* --- batched submission ------------------------------------------------ *)
 
 let test_loopback_batch_submit () =
   let drive = mk_drive () in
   let srv = Netserver.of_drive drive in
   let client = Netclient.connect (Nettransport.loopback srv) in
   let oid = create_object (Netclient.handle client) in
-  ignore (Netclient.capacity client);
-  check Alcotest.int "server advertised its batch limit" 256
+  check Alcotest.int "server advertised its batch limit" 64
     (Netclient.server_batch_limit client);
   let payload = Bytes.make 256 'z' in
   (* Interleaved writes and reads: each read must observe the write
@@ -580,8 +628,6 @@ let test_loopback_batch_submit () =
       | 1, Rpc.R_data b -> check Alcotest.bytes "batched read" payload b
       | _ -> Alcotest.failf "slot %d: %a" i Rpc.pp_resp r)
     resps;
-  check Alcotest.int "session negotiated the best version" Wire.version
-    (Netclient.version client);
   (* An empty batch with sync is a pure barrier. *)
   let none = Netclient.submit client cred ~sync:true [||] in
   check Alcotest.int "empty batch" 0 (Array.length none);
@@ -594,7 +640,6 @@ let test_batch_chunking () =
   with_tcp_server ~config (fun _drive port ->
       let client = tcp_client port in
       let oid = create_object (Netclient.handle client) in
-      ignore (Netclient.capacity client);
       check Alcotest.int "small limit learned" 8 (Netclient.server_batch_limit client);
       let payload = Bytes.of_string "chunked" in
       (match
@@ -615,47 +660,30 @@ let test_batch_chunking () =
         resps;
       Netclient.close client)
 
-let test_v1_negotiation_fallback () =
+let test_default_server_admits_large_submissions () =
+  (* A default server admits 64 requests in flight; the handshake
+     advertises exactly that, so a fresh default client slices a 65- or
+     200-request submission into batches the server accepts, even when
+     the submission is its very first call. *)
   let drive = mk_drive () in
   let srv = Netserver.of_drive drive in
-  let config = { Netclient.default_config with Netclient.advertise_version = 1 } in
-  let client = Netclient.connect ~config (Nettransport.loopback srv) in
-  let oid = create_object (Netclient.handle client) in
-  check Alcotest.int "negotiated down to v1" 1 (Netclient.version client);
-  let payload = Bytes.make 512 'v' in
-  let reqs =
-    Array.init 8 (fun i -> Rpc.Write { oid; off = i * 512; len = 512; data = Some payload })
+  let client = Netclient.connect (Nettransport.loopback srv) in
+  let creates = Array.make 65 (Rpc.Create { acl = Acl.default ~owner:1 }) in
+  let oids =
+    Array.map
+      (function Rpc.R_oid oid -> oid | r -> Alcotest.failf "create: %a" Rpc.pp_resp r)
+      (Netclient.submit client cred ~sync:true creates)
   in
-  (* submit still works: it degrades to pipelined Requests with the
-     sync riding on the last one. *)
-  let resps = Netclient.submit client cred ~sync:true reqs in
-  check Alcotest.int "positional responses over v1" 8 (Array.length resps);
-  Array.iter
-    (function Rpc.R_unit -> () | r -> Alcotest.failf "v1 submit: %a" Rpc.pp_resp r)
-    resps;
-  (match Netclient.handle client cred (Rpc.Read { oid; off = 0; len = 512; at = None }) with
-  | Rpc.R_data b -> check Alcotest.bytes "v1 batch landed" payload b
-  | r -> Alcotest.failf "read: %a" Rpc.pp_resp r);
-  (* The batch advertisement is a v2 payload field; a v1 session never
-     sees it. *)
-  ignore (Netclient.capacity client);
-  check Alcotest.int "no batch advertisement on v1" 0 (Netclient.server_batch_limit client);
+  check Alcotest.int "65 created" 65 (Array.length oids);
+  let reads = Array.init 200 (fun i -> Rpc.Get_attr { oid = oids.(i mod 65); at = None }) in
+  Array.iteri
+    (fun i r ->
+      match r with
+      | Rpc.R_attr _ -> ()
+      | r -> Alcotest.failf "slot %d of 200: %a" i Rpc.pp_resp r)
+    (Netclient.submit client cred reads);
+  check Alcotest.int "no reconnect" 0 (Netclient.reconnects client);
   Netclient.close client
-
-let test_batch_frame_on_v1_session_rejected () =
-  let drive = mk_drive () in
-  let srv = Netserver.of_drive drive in
-  let sess = Netserver.Session.create srv in
-  let hello = Wire.encode ~version:Wire.min_version (Wire.Hello { version = 1; claim = 1 }) in
-  Netserver.Session.feed sess hello 0 (Bytes.length hello);
-  check Alcotest.int "session dropped to v1" 1 (Netserver.Session.version sess);
-  let batch = Wire.encode (Wire.Batch { xid = 7L; cred; sync = false; reqs = [| Rpc.Sync |] }) in
-  Netserver.Session.feed sess batch 0 (Bytes.length batch);
-  Netserver.Session.run sess;
-  check Alcotest.bool "connection closed" true (Netserver.Session.closing sess);
-  match decode_all (Netserver.Session.output sess) with
-  | [ Wire.Hello_ack _; Wire.Proto_error _ ] -> ()
-  | fs -> Alcotest.failf "expected Hello_ack then Proto_error, got %d frames" (List.length fs)
 
 let test_oversized_batch_rejected () =
   let drive = mk_drive () in
@@ -680,35 +708,10 @@ let lease_server ?(lease_ns = 60_000_000_000L) () =
   let config = { Netserver.default_config with Netserver.lease_ns } in
   (drive, Netserver.of_drive ~config drive)
 
-let cached_client ?(advertise_version = Wire.version) srv =
-  let config =
-    {
-      Netclient.default_config with
-      Netclient.advertise_version;
-      cache_budget = 1 lsl 20;
-      cache_journal = true;
-    }
-  in
-  Netclient.connect ~config (Nettransport.loopback srv)
+let cache_config =
+  { Netclient.default_config with Netclient.cache_budget = 1 lsl 20; cache_journal = true }
 
-let test_v2_encoding_carries_no_lease () =
-  (* The lease fields are v3 payload: encoded at v2 they simply do not
-     travel, so a downgraded session degrades to lease-free replies
-     rather than corrupting the frame. *)
-  let f = Wire.Response { xid = 5L; resp = Rpc.R_unit; now = 777L; lease = 999L } in
-  let b = Wire.encode ~version:2 f in
-  (match Wire.decode b ~pos:0 ~avail:(Bytes.length b) with
-  | Wire.Frame (Wire.Response { xid = 5L; resp = Rpc.R_unit; now = 0L; lease = 0L }, _) -> ()
-  | Wire.Frame (g, _) -> Alcotest.failf "unexpected v2 decode: %s" (Wire.frame_name g)
-  | _ -> Alcotest.fail "v2 response did not decode");
-  let f =
-    Wire.Batch_reply { xid = 6L; resps = [| Rpc.R_unit |]; now = 777L; leases = [| 999L |] }
-  in
-  let b = Wire.encode ~version:2 f in
-  match Wire.decode b ~pos:0 ~avail:(Bytes.length b) with
-  | Wire.Frame (Wire.Batch_reply { now = 0L; leases = [||]; _ }, _) -> ()
-  | Wire.Frame (g, _) -> Alcotest.failf "unexpected v2 decode: %s" (Wire.frame_name g)
-  | _ -> Alcotest.fail "v2 batch reply did not decode"
+let cached_client srv = Netclient.connect ~config:cache_config (Nettransport.loopback srv)
 
 let test_lease_cache_hit_and_invalidate () =
   let drive, srv = lease_server () in
@@ -779,24 +782,55 @@ let test_lease_expiry_never_served () =
   (match Cache.check cache with Ok () -> () | Error e -> Alcotest.failf "lease checker: %s" e);
   Netclient.close client
 
-let test_v2_peer_gets_no_leases () =
-  (* A cache-enabled client negotiated down to v2 sees lease-free
-     replies: the cache stays empty and every read crosses the wire. *)
+let test_synced_hit_still_barriers () =
+  (* [handle] is a one-element [submit]: a synced read served from the
+     cache still owes the server its group-commit barrier, sent as an
+     empty synced batch. *)
   let _, srv = lease_server () in
-  let client = cached_client ~advertise_version:2 srv in
+  let sent = ref [] in
+  let capture srv =
+    let inner = Nettransport.loopback srv in
+    {
+      inner with
+      Nettransport.connect =
+        (fun () ->
+          let e = inner.Nettransport.connect () in
+          {
+            e with
+            Nettransport.ep_send =
+              (fun b ->
+                sent := b :: !sent;
+                e.Nettransport.ep_send b);
+          });
+    }
+  in
+  let client = Netclient.connect ~config:cache_config (capture srv) in
   let oid = create_object (Netclient.handle client) in
-  check Alcotest.int "negotiated v2" 2 (Netclient.version client);
-  for _ = 1 to 3 do
-    ignore (Netclient.handle client cred (Rpc.Read { oid; off = 0; len = 16; at = None }))
-  done;
+  let payload = Bytes.of_string "cached then synced" in
+  let rd ~sync =
+    Netclient.handle client cred ~sync
+      (Rpc.Read { oid; off = 0; len = Bytes.length payload; at = None })
+  in
+  ignore
+    (Netclient.handle client cred
+       (Rpc.Write { oid; off = 0; len = Bytes.length payload; data = Some payload }));
+  ignore (rd ~sync:false);
   let cache = Option.get (Netclient.cache client) in
-  check Alcotest.int "no hits without leases" 0 (Cache.hits cache);
-  check Alcotest.int "nothing cached without leases" 0 (Cache.length cache);
+  sent := [];
+  (match rd ~sync:true with
+  | Rpc.R_data b -> check Alcotest.bytes "served from cache" payload b
+  | r -> Alcotest.failf "synced cached read: %a" Rpc.pp_resp r);
+  check Alcotest.int "cache hit" 1 (Cache.hits cache);
+  (match List.concat_map decode_all !sent with
+  | [ Wire.Batch { reqs = [||]; sync = true; _ } ] -> ()
+  | fs ->
+    Alcotest.failf "expected one empty synced batch, sent [%s]"
+      (String.concat "; " (List.map Wire.frame_name fs)));
   Netclient.close client
 
 let test_no_lease_term_no_cache () =
-  (* lease_ns = 0 (the default): a v3 session that simply grants no
-     leases leaves the cache empty too. *)
+  (* lease_ns = 0 (the default): a server that grants no leases leaves
+     the cache empty. *)
   let drive = mk_drive () in
   let srv = Netserver.of_drive drive in
   let client = cached_client srv in
@@ -959,6 +993,8 @@ let () =
           qtest prop_garbage;
           Alcotest.test_case "oversized length rejected from header" `Quick
             test_oversized_rejected_from_header;
+          Alcotest.test_case "foreign header version rejected" `Quick
+            test_foreign_version_rejected;
         ] );
       ( "session",
         [
@@ -984,21 +1020,18 @@ let () =
           Alcotest.test_case "vectored submit over loopback" `Quick test_loopback_batch_submit;
           Alcotest.test_case "oversized submissions sliced at the limit" `Quick
             test_batch_chunking;
-          Alcotest.test_case "v1 peer falls back to pipelining" `Quick
-            test_v1_negotiation_fallback;
-          Alcotest.test_case "batch frame refused on a v1 session" `Quick
-            test_batch_frame_on_v1_session_rejected;
+          Alcotest.test_case "default server admits 65 and 200 requests" `Quick
+            test_default_server_admits_large_submissions;
           Alcotest.test_case "over-limit batch refused" `Quick test_oversized_batch_rejected;
         ] );
       ( "lease",
         [
-          Alcotest.test_case "v2 encoding carries no lease" `Quick
-            test_v2_encoding_carries_no_lease;
           Alcotest.test_case "cache hit, wire silence, invalidation" `Quick
             test_lease_cache_hit_and_invalidate;
           Alcotest.test_case "expired lease never served" `Quick
             test_lease_expiry_never_served;
-          Alcotest.test_case "v2 peer gets no leases" `Quick test_v2_peer_gets_no_leases;
+          Alcotest.test_case "synced cache hit still sends its barrier" `Quick
+            test_synced_hit_still_barriers;
           Alcotest.test_case "zero lease term caches nothing" `Quick
             test_no_lease_term_no_cache;
           Alcotest.test_case "cache never crosses credentials" `Quick
@@ -1010,7 +1043,7 @@ let () =
         ] );
       ( "tcp",
         [
-          Alcotest.test_case "rpc + pipelining over sockets" `Quick test_tcp_rpc_and_pipelining;
+          Alcotest.test_case "rpc over sockets" `Quick test_tcp_rpc;
           Alcotest.test_case "garbage gets protocol error; service continues" `Quick
             test_tcp_garbage_then_service;
           Alcotest.test_case "graceful shutdown refuses new work" `Quick
