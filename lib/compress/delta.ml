@@ -66,7 +66,7 @@ let encode ~source ~target =
   Bcodec.w_u16 w magic;
   Bcodec.w_int w (Bytes.length source);
   Bcodec.w_int w (Bytes.length target);
-  Bcodec.w_u32 w (Int32.to_int (Crc32.bytes target) land 0xFFFFFFFF);
+  Bcodec.w_u32 w (Crc32.bytes target);
   let idx = index_source source in
   let n = Bytes.length target in
   let lit_start = ref 0 in
@@ -133,7 +133,7 @@ let apply ~source ~delta =
       opos := !opos + len
     | op -> raise (Bcodec.Decode_error (Printf.sprintf "Delta: bad opcode %d" op))
   done;
-  if Int32.to_int (Crc32.bytes out) land 0xFFFFFFFF <> crc then
+  if Crc32.bytes out <> crc then
     raise (Bcodec.Decode_error "Delta: target CRC mismatch");
   out
 

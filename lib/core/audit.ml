@@ -1,5 +1,4 @@
 module Bcodec = S4_util.Bcodec
-module Crc32 = S4_util.Crc32
 module Simclock = S4_util.Simclock
 module Chain = S4_integrity.Chain
 module Log = S4_seglog.Log
@@ -94,18 +93,41 @@ let r_record rd ~base =
   let info = Bcodec.r_string rd in
   { at; user; client; op; oid; info; ok }
 
-let record_wire_bytes r =
-  let w = Bcodec.writer () in
-  w_record w ~base:r.at r;
-  (* Slack for the varint time delta against the block base (up to 9
-     bytes for multi-hour gaps) and unknown-op strings. *)
-  Bcodec.length w + 10
+(* Encoded size of [w_record ~base r], computed without encoding: a
+   record is encoded exactly once, into its block. *)
+let record_size ~base r =
+  let v = Bcodec.varint_size in
+  let op =
+    match code_of_op r.op with
+    | Some _ -> 1
+    | None -> 1 + v (String.length r.op) + String.length r.op
+  in
+  op
+  + v (Int64.to_int (Int64.sub r.at base))
+  + v (r.user + 1)
+  + v (r.client + 1)
+  + v (Int64.to_int r.oid)
+  + v (String.length r.info)
+  + String.length r.info
+
+(* Slack for the varint time delta against the block base (up to 9
+   bytes for multi-hour gaps) and unknown-op strings. *)
+let record_wire_bytes r = record_size ~base:r.at r + 10
 
 (* The canonical encoding the hash chain runs over. Deliberately
    self-delimiting and independent of the block-level delta encoding,
    so the chain can be recomputed from decoded records alone. *)
 let canonical r =
-  let w = Bcodec.writer ~capacity:64 () in
+  let v = Bcodec.varint_size in
+  let n =
+    8 + v (r.user + 1) + v (r.client + 1)
+    + v (String.length r.op) + String.length r.op
+    + 8
+    + v (String.length r.info) + String.length r.info
+    + 1
+  in
+  let b = Bytes.create n in
+  let w = Bcodec.into b in
   Bcodec.w_i64 w r.at;
   Bcodec.w_int w (r.user + 1);
   Bcodec.w_int w (r.client + 1);
@@ -113,7 +135,7 @@ let canonical r =
   Bcodec.w_i64 w r.oid;
   Bcodec.w_string w r.info;
   Bcodec.w_u8 w (if r.ok then 1 else 0);
-  Bcodec.contents w
+  b
 
 (* Block layout: magic, base time, chain start index, prior head, count,
    records..., zero pad, crc in the last 4 bytes — self-identifying
@@ -121,88 +143,56 @@ let canonical r =
    resume at any block boundary (incremental verify, pruned logs). *)
 let encode_block block_size ~start ~prior records_chrono =
   let base = match records_chrono with r :: _ -> r.at | [] -> 0L in
-  let w = Bcodec.writer ~capacity:block_size () in
-  Bcodec.w_u16 w magic;
-  Bcodec.w_i64 w base;
-  Bcodec.w_int w start;
-  Bcodec.w_raw w (Bytes.of_string prior);
-  Bcodec.w_int w (List.length records_chrono);
-  List.iter (fun r -> w_record w ~base r) records_chrono;
-  let body = Bcodec.contents w in
-  if Bytes.length body + 4 > block_size then invalid_arg "Audit: block overflow";
-  let out = Bytes.make block_size '\000' in
-  Bytes.blit body 0 out 0 (Bytes.length body);
-  let crc = Crc32.sub out ~pos:0 ~len:(block_size - 4) in
-  Bcodec.set_u32 out (block_size - 4) (Int32.to_int crc land 0xFFFFFFFF);
-  out
+  Bcodec.frame ~size:block_size (fun w ->
+      Bcodec.w_u16 w magic;
+      Bcodec.w_i64 w base;
+      Bcodec.w_int w start;
+      Bcodec.w_raw w (Bytes.unsafe_of_string prior);
+      Bcodec.w_int w (List.length records_chrono);
+      List.iter (fun r -> w_record w ~base r) records_chrono)
 
 (* Decodes either block generation; chain info is [None] for v1. *)
 let decode_block_chained b =
-  let n = Bytes.length b in
-  if n < 18 then None
-  else begin
-    let m = Bcodec.get_u16 b 0 in
-    if m <> magic && m <> magic_v1 then None
-    else begin
-      let stored = Bcodec.get_u32 b (n - 4) in
-      let crc = Int32.to_int (Crc32.sub b ~pos:0 ~len:(n - 4)) land 0xFFFFFFFF in
-      if stored <> crc then None
-      else begin
-        try
-          let rd = Bcodec.reader ~pos:2 b in
-          let base = Bcodec.r_i64 rd in
-          let chain =
-            if m = magic then begin
-              let start = Bcodec.r_int rd in
-              let prior = Bytes.to_string (Bcodec.r_raw rd Chain.hash_len) in
-              Some (start, prior)
-            end
-            else None
-          in
-          let count = Bcodec.r_int rd in
-          Some (List.init count (fun _ -> r_record rd ~base), chain)
-        with Bcodec.Decode_error _ -> None
-      end
-    end
-  end
+  let m = if Bytes.length b < 18 then -1 else Bcodec.get_u16 b 0 in
+  if (m <> magic && m <> magic_v1) || not (Bcodec.check_frame b) then None
+  else
+    try
+      let rd = Bcodec.reader ~pos:2 b in
+      let base = Bcodec.r_i64 rd in
+      let chain =
+        if m = magic then begin
+          let start = Bcodec.r_int rd in
+          let prior = Bytes.to_string (Bcodec.r_raw rd Chain.hash_len) in
+          Some (start, prior)
+        end
+        else None
+      in
+      let count = Bcodec.r_int rd in
+      Some (List.init count (fun _ -> r_record rd ~base), chain)
+    with Bcodec.Decode_error _ -> None
 
 let decode_block b = Option.map fst (decode_block_chained b)
 
 (* Seal layout: magic, epoch, records, seal time, head hash, pad, crc. *)
 let encode_seal block_size (s : Chain.seal) =
-  let w = Bcodec.writer ~capacity:64 () in
-  Bcodec.w_u16 w seal_magic;
-  Bcodec.w_int w s.Chain.s_head.Chain.epoch;
-  Bcodec.w_int w s.Chain.s_head.Chain.records;
-  Bcodec.w_i64 w s.Chain.s_at;
-  Bcodec.w_raw w (Bytes.of_string s.Chain.s_head.Chain.hash);
-  let body = Bcodec.contents w in
-  if Bytes.length body + 4 > block_size then invalid_arg "Audit: seal overflow";
-  let out = Bytes.make block_size '\000' in
-  Bytes.blit body 0 out 0 (Bytes.length body);
-  let crc = Crc32.sub out ~pos:0 ~len:(block_size - 4) in
-  Bcodec.set_u32 out (block_size - 4) (Int32.to_int crc land 0xFFFFFFFF);
-  out
+  Bcodec.frame ~size:block_size (fun w ->
+      Bcodec.w_u16 w seal_magic;
+      Bcodec.w_int w s.Chain.s_head.Chain.epoch;
+      Bcodec.w_int w s.Chain.s_head.Chain.records;
+      Bcodec.w_i64 w s.Chain.s_at;
+      Bcodec.w_raw w (Bytes.unsafe_of_string s.Chain.s_head.Chain.hash))
 
 let decode_seal b : Chain.seal option =
-  let n = Bytes.length b in
-  if n < 10 then None
-  else if Bcodec.get_u16 b 0 <> seal_magic then None
-  else begin
-    let stored = Bcodec.get_u32 b (n - 4) in
-    let crc = Int32.to_int (Crc32.sub b ~pos:0 ~len:(n - 4)) land 0xFFFFFFFF in
-    if stored <> crc then None
-    else begin
-      try
-        let rd = Bcodec.reader ~pos:2 b in
-        let epoch = Bcodec.r_int rd in
-        let records = Bcodec.r_int rd in
-        let s_at = Bcodec.r_i64 rd in
-        let hash = Bytes.to_string (Bcodec.r_raw rd Chain.hash_len) in
-        Some { Chain.s_head = { Chain.epoch; records; hash }; s_at }
-      with Bcodec.Decode_error _ -> None
-    end
-  end
+  if Bytes.length b < 10 || Bcodec.get_u16 b 0 <> seal_magic || not (Bcodec.check_frame b) then None
+  else
+    try
+      let rd = Bcodec.reader ~pos:2 b in
+      let epoch = Bcodec.r_int rd in
+      let records = Bcodec.r_int rd in
+      let s_at = Bcodec.r_i64 rd in
+      let hash = Bytes.to_string (Bcodec.r_raw rd Chain.hash_len) in
+      Some { Chain.s_head = { Chain.epoch; records; hash }; s_at }
+    with Bcodec.Decode_error _ -> None
 
 let flush_block t =
   match t.buffer with
@@ -234,9 +224,7 @@ let flush_block t =
     let used = ref 0 in
     List.iter
       (fun r ->
-        let w = Bcodec.writer () in
-        w_record w ~base:!base r;
-        let sz = Bcodec.length w in
+        let sz = record_size ~base:!base r in
         if !used + sz + 17 + 10 + Chain.hash_len > block_size && !group <> [] then begin
           emit !group;
           group := [];

@@ -441,8 +441,9 @@ let barrier t =
   (* The durability barrier, shared by single-request [sync] and batch
      group commit: audit records buffered so far must survive a crash
      once the barrier returns (the audit-at-Sync invariant), then the
-     store itself is made stable. A media fault here means the caller
-     must not be told its mutations are durable. *)
+     store itself is made stable. A media fault or a full log here
+     means the caller must not be told its mutations are durable; a
+     full log answers [No_space], as an explicit [Sync] does. *)
   let io_failed lba transient kind =
     t.io_errors <- t.io_errors + 1;
     Some
@@ -456,6 +457,7 @@ let barrier t =
     Store.sync t.store;
     None
   with
+  | Log.Log_full -> Some Rpc.No_space
   | Fault.Read_fault { lba; transient } -> io_failed lba transient "sync read"
   | Fault.Write_fault { lba; transient } -> io_failed lba transient "sync write"
 

@@ -72,7 +72,8 @@ val handle : t -> Rpc.credential -> ?sync:bool -> Rpc.req -> Rpc.resp
 val barrier : t -> Rpc.error option
 (** The durability barrier on its own: flush buffered audit records,
     then sync the store. [None] on success; [Some (Io_error _)] if the
-    media failed while persisting (the drive keeps serving, degraded).
+    media failed while persisting (the drive keeps serving, degraded);
+    [Some No_space] if the log is full.
     Exposed so multi-drive layers (mirror, shard router) can end their
     own batches with one barrier per member. *)
 

@@ -86,7 +86,7 @@ let encode_header ~geometry ~clock_ns ~head =
   let out = Bytes.make header_bytes '\000' in
   Bytes.blit_string magic 0 out 0 (String.length magic);
   Bcodec.set_u32 out 8 plen;
-  Bcodec.set_u32 out 12 (Int32.to_int (Crc32.bytes payload) land 0xFFFFFFFF);
+  Bcodec.set_u32 out 12 (Crc32.bytes payload);
   Bytes.blit payload 0 out 16 plen;
   out
 
@@ -98,7 +98,7 @@ let decode_header path b =
   if plen < 0 || 16 + plen > Bytes.length b then corrupt path "bad header length %d" plen;
   let payload = Bytes.sub b 16 plen in
   let stored = Bcodec.get_u32 b 12 in
-  let crc = Int32.to_int (Crc32.bytes payload) land 0xFFFFFFFF in
+  let crc = Crc32.bytes payload in
   if stored <> crc then corrupt path "header CRC mismatch (stored %08x, computed %08x)" stored crc;
   match
     let r = Bcodec.reader payload in

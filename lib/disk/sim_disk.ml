@@ -27,12 +27,30 @@ let fresh_stats () =
     write_latency = Histogram.create ();
   }
 
-(* Where sector contents live: the sparse in-memory table (simulation)
-   or a real host file (durability). Timing, stats, fault injection
-   and the whole stack above are identical over both. *)
-type backing =
-  | Mem of (int, Bytes.t) Hashtbl.t  (* sector lba -> sector bytes *)
-  | File of File_disk.t
+(* The in-memory backing keeps sector contents in 4 KB pages: one
+   table entry and one copy per page, however many sectors a request
+   spans. [present] has bit [i] set when sector [i] of the page holds
+   stored contents; absent sectors are zero bytes, and a page leaves
+   the table when its last sector is erased. Torn prefixes, erases and
+   [peek] of any range therefore read exactly what a per-sector table
+   would. *)
+type page = { data : Bytes.t; mutable present : int }
+
+module Pages = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash (i : int) = i land max_int
+end)
+
+type mem = { pages : page Pages.t; page_sectors : int }
+
+(* Where sector contents live: the sparse in-memory page table
+   (simulation) or a real host file (durability). Timing, stats, fault
+   injection and the whole stack above are identical over both. *)
+type backing = Mem of mem | File of File_disk.t
+
+let page_bytes = 4096
 
 type t = {
   geometry : Geometry.t;
@@ -53,7 +71,12 @@ let create ?(geometry = Geometry.cheetah_9gb) clock =
   {
     geometry;
     clock;
-    backing = Mem (Hashtbl.create 4096);
+    backing =
+      Mem
+        {
+          pages = Pages.create 1024;
+          page_sectors = max 1 (min 32 (page_bytes / geometry.Geometry.sector_size));
+        };
     head = 0;
     stats = fresh_stats ();
     phantom = false;
@@ -177,39 +200,65 @@ let read t ~lba ~sectors =
         raise (Fault.Read_fault { lba; transient })));
   account t ~lba ~sectors ~is_read:true ()
 
+(* Store [sectors] sectors at [lba] from [src] starting at byte [off]
+   ([None]: erase them). *)
+let store_mem t m ~lba ~sectors src off =
+  let ss = t.geometry.Geometry.sector_size and ps = m.page_sectors in
+  let i = ref 0 in
+  while !i < sectors do
+    let l = lba + !i in
+    let p = l / ps and o = l mod ps in
+    let n = min (ps - o) (sectors - !i) in
+    let bits = ((1 lsl n) - 1) lsl o in
+    (match (src, Pages.find_opt m.pages p) with
+     | Some b, Some pg ->
+       Bytes.blit b (off + (!i * ss)) pg.data (o * ss) (n * ss);
+       pg.present <- pg.present lor bits
+     | Some b, None ->
+       let data =
+         if n = ps then Bytes.sub b (off + (!i * ss)) (ps * ss)
+         else begin
+           let d = Bytes.make (ps * ss) '\000' in
+           Bytes.blit b (off + (!i * ss)) d (o * ss) (n * ss);
+           d
+         end
+       in
+       Pages.add m.pages p { data; present = bits }
+     | None, Some pg ->
+       let left = pg.present land lnot bits in
+       if left = 0 then Pages.remove m.pages p
+       else begin
+         Bytes.fill pg.data (o * ss) (n * ss) '\000';
+         pg.present <- left
+       end
+     | None, None -> ());
+    i := !i + n
+  done
+
+(* Persist the first [sectors] sectors of a request's payload. *)
 let store_data t ~lba ~sectors data =
-  let ss = t.geometry.Geometry.sector_size in
-  (match data with
-   | Some b when Bytes.length b <> sectors * ss ->
-     invalid_arg "Sim_disk.write: data length mismatch"
-   | _ -> ());
   match t.backing with
-  | Mem contents ->
-    (match data with
-     | None ->
-       for i = lba to lba + sectors - 1 do
-         Hashtbl.remove contents i
-       done
-     | Some b ->
-       for i = 0 to sectors - 1 do
-         Hashtbl.replace contents (lba + i) (Bytes.sub b (i * ss) ss)
-       done)
+  | Mem m -> store_mem t m ~lba ~sectors data 0
   | File f ->
     (match data with
      | None -> File_disk.erase f ~lba ~sectors
-     | Some b -> File_disk.write f ~lba b)
+     | Some b ->
+       let n = sectors * t.geometry.Geometry.sector_size in
+       File_disk.write f ~lba (if n = Bytes.length b then b else Bytes.sub b 0 n))
+
+let check_data t ~sectors data =
+  match data with
+  | Some b when Bytes.length b <> sectors * t.geometry.Geometry.sector_size ->
+    invalid_arg "Sim_disk.write: data length mismatch"
+  | _ -> ()
 
 (* Persist only the first [k] sectors of the request, leaving the tail
    untouched on the platter (torn write / crash mid-transfer). *)
-let store_prefix t ~lba ~k data =
-  if k > 0 then begin
-    let ss = t.geometry.Geometry.sector_size in
-    let data = Option.map (fun b -> Bytes.sub b 0 (k * ss)) data in
-    store_data t ~lba ~sectors:k data
-  end
+let store_prefix t ~lba ~k data = if k > 0 then store_data t ~lba ~sectors:k data
 
 let write t ?tcq ?data ~lba ~sectors () =
   check_range t ~lba ~sectors;
+  check_data t ~sectors data;
   (match t.fault with
    | None -> store_data t ~lba ~sectors data
    | Some f ->
@@ -239,13 +288,18 @@ let write t ?tcq ?data ~lba ~sectors () =
 let peek t ~lba ~sectors =
   check_range t ~lba ~sectors;
   match t.backing with
-  | Mem contents ->
-    let ss = t.geometry.Geometry.sector_size in
+  | Mem m ->
+    let ss = t.geometry.Geometry.sector_size and ps = m.page_sectors in
     let out = Bytes.make (sectors * ss) '\000' in
-    for i = 0 to sectors - 1 do
-      (match Hashtbl.find_opt contents (lba + i) with
-       | Some sector -> Bytes.blit sector 0 out (i * ss) ss
-       | None -> ())
+    let i = ref 0 in
+    while !i < sectors do
+      let l = lba + !i in
+      let o = l mod ps in
+      let n = min (ps - o) (sectors - !i) in
+      (match Pages.find_opt m.pages (l / ps) with
+       | Some pg -> Bytes.blit pg.data (o * ss) out (!i * ss) (n * ss)
+       | None -> ());
+      i := !i + n
     done;
     out
   | File f -> File_disk.read f ~lba ~sectors

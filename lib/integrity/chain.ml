@@ -21,11 +21,26 @@ let hash_len = 32
 let genesis_hash = Sha256.digest_string "s4-audit-chain-genesis-v1"
 let genesis = { epoch = 0; records = 0; hash = genesis_hash }
 
+(* One spare hashing context, taken and given back with an atomic
+   swap: the chain step allocates no hashing state, and a caller on
+   another domain or thread that finds the spare taken hashes with a
+   fresh context instead of sharing it. *)
+let spare = Atomic.make None
+
 let extend prev canon =
-  let ctx = Sha256.init () in
+  let slot = Atomic.exchange spare None in
+  let ctx =
+    match slot with
+    | Some ctx ->
+      Sha256.reset ctx;
+      ctx
+    | None -> Sha256.init ()
+  in
   Sha256.feed_string ctx prev;
   Sha256.feed ctx canon;
-  Sha256.finish ctx
+  let head = Sha256.finish ctx in
+  Atomic.set spare (match slot with Some _ -> slot | None -> Some ctx);
+  head
 
 let extend_all prev canons = List.fold_left extend prev canons
 

@@ -451,7 +451,7 @@ let encode frame =
   Bcodec.set_u32 b 16 plen;
   Bytes.blit payload 0 b header_len plen;
   let crc = Crc32.sub b ~pos:0 ~len:(header_len + plen) in
-  Bcodec.set_u32 b (header_len + plen) (Int32.to_int crc land 0xFFFFFFFF);
+  Bcodec.set_u32 b (header_len + plen) crc;
   b
 
 (* ------------------------------------------------------------------ *)
@@ -521,7 +521,7 @@ let decode ?(max_frame = max_frame_default) buf ~pos ~avail =
         else begin
           let crc = Crc32.sub buf ~pos ~len:(header_len + plen) in
           let stored = Bcodec.get_u32 buf (pos + header_len + plen) in
-          if Int32.to_int crc land 0xFFFFFFFF <> stored then reject "crc mismatch"
+          if crc <> stored then reject "crc mismatch"
           else begin
             let payload = Bytes.sub buf (pos + header_len) plen in
             match parse_payload kind xid payload with

@@ -1,15 +1,12 @@
 module Bcodec = S4_util.Bcodec
-module Crc32 = S4_util.Crc32
 
 type entry = { oid : int64; seq : int; time : int64; kind : int; payload : Bytes.t }
 
 let magic = 0x424A (* "JB" *)
 
-let varint_size v =
-  let rec loop v n = if v < 0x80 then n else loop (v lsr 7) (n + 1) in
-  loop v 1
-
-let entry_size e = 8 + varint_size e.seq + 8 + 1 + varint_size (Bytes.length e.payload) + Bytes.length e.payload
+let entry_size e =
+  let n = Bytes.length e.payload in
+  8 + Bcodec.varint_size e.seq + 8 + 1 + Bcodec.varint_size n + n
 
 (* magic(2) + prev(8) + count(up to 3) + crc(4) *)
 let header_size = 2 + 8 + 3 + 4
@@ -17,49 +14,35 @@ let header_size = 2 + 8 + 3 + 4
 let fits ~block_size ~current e = header_size + current + entry_size e <= block_size
 
 let encode ~block_size ~prev entries =
-  let w = Bcodec.writer ~capacity:block_size () in
-  Bcodec.w_u16 w magic;
-  Bcodec.w_i64 w (Int64.of_int prev);
-  Bcodec.w_int w (List.length entries);
-  let emit e =
-    Bcodec.w_i64 w e.oid;
-    Bcodec.w_int w e.seq;
-    Bcodec.w_i64 w e.time;
-    Bcodec.w_u8 w e.kind;
-    Bcodec.w_bytes w e.payload
-  in
-  List.iter emit entries;
-  let body = Bcodec.contents w in
-  if Bcodec.length w + 4 > block_size then invalid_arg "Jblock.encode: entries do not fit";
-  let out = Bytes.make block_size '\000' in
-  Bytes.blit body 0 out 0 (Bytes.length body);
-  let crc = Crc32.sub out ~pos:0 ~len:(block_size - 4) in
-  Bcodec.set_u32 out (block_size - 4) (Int32.to_int crc land 0xFFFFFFFF);
-  out
+  Bcodec.frame ~size:block_size (fun w ->
+      Bcodec.w_u16 w magic;
+      Bcodec.w_i64 w (Int64.of_int prev);
+      Bcodec.w_int w (List.length entries);
+      List.iter
+        (fun e ->
+          Bcodec.w_i64 w e.oid;
+          Bcodec.w_int w e.seq;
+          Bcodec.w_i64 w e.time;
+          Bcodec.w_u8 w e.kind;
+          Bcodec.w_bytes w e.payload)
+        entries)
 
 let decode b =
   let n = Bytes.length b in
-  if n < header_size then None
-  else if Bcodec.get_u16 b 0 <> magic then None
-  else begin
-    let stored = Bcodec.get_u32 b (n - 4) in
-    let crc = Int32.to_int (Crc32.sub b ~pos:0 ~len:(n - 4)) land 0xFFFFFFFF in
-    if stored <> crc then None
-    else begin
-      try
-        let r = Bcodec.reader ~pos:2 b in
-        let prev = Int64.to_int (Bcodec.r_i64 r) in
-        let count = Bcodec.r_int r in
-        let read_entry () =
-          let oid = Bcodec.r_i64 r in
-          let seq = Bcodec.r_int r in
-          let time = Bcodec.r_i64 r in
-          let kind = Bcodec.r_u8 r in
-          let payload = Bcodec.r_bytes r in
-          { oid; seq; time; kind; payload }
-        in
-        let entries = List.init count (fun _ -> read_entry ()) in
-        Some (prev, entries)
-      with Bcodec.Decode_error _ -> None
-    end
-  end
+  if n < header_size || Bcodec.get_u16 b 0 <> magic || not (Bcodec.check_frame b) then None
+  else
+    try
+      let r = Bcodec.reader ~pos:2 b in
+      let prev = Int64.to_int (Bcodec.r_i64 r) in
+      let count = Bcodec.r_int r in
+      let read_entry () =
+        let oid = Bcodec.r_i64 r in
+        let seq = Bcodec.r_int r in
+        let time = Bcodec.r_i64 r in
+        let kind = Bcodec.r_u8 r in
+        let payload = Bcodec.r_bytes r in
+        { oid; seq; time; kind; payload }
+      in
+      let entries = List.init count (fun _ -> read_entry ()) in
+      Some (prev, entries)
+    with Bcodec.Decode_error _ -> None

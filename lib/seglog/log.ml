@@ -52,7 +52,7 @@ type t = {
   segs : seg array;
   auto_reclaim : bool;
   mutable charge : bool;
-  mutable current : int;  (* index into segs of the open segment *)
+  mutable current : int;  (* index into segs of the open segment; -1 = none yet *)
   mutable frontier : int;  (* next slot in current *)
   mutable flushed : int;  (* slots of current already on disk *)
   pending : (addr, Bytes.t option) Hashtbl.t;  (* buffered contents *)
@@ -304,10 +304,13 @@ let append_inner t tag ?data () =
   (match data with
    | Some d when Bytes.length d <> t.block_size -> invalid_arg "Log.append: data size"
    | Some _ | None -> ());
-  (* A faulted close_segment can leave the segment full but still
-     open; complete the close before placing the new block, or the
-     append would land in the summary slot. *)
-  if t.frontier = t.usable then close_segment t;
+  (* A log reattached with no free segment opens one only now, once
+     its owners have rebuilt liveness (see [reattach]). A faulted
+     close_segment can leave the segment full but still open; complete
+     the close before placing the new block, or the append would land
+     in the summary slot. *)
+  if t.current < 0 then open_segment_exn t
+  else if t.frontier = t.usable then close_segment t;
   let sg = t.segs.(t.current) in
   let slot = t.frontier in
   let addr = addr_of t ~seg:sg.index ~slot in
@@ -350,34 +353,36 @@ let peek t addr =
   | Some None -> Bytes.make t.block_size '\000'
   | None -> Sim_disk.peek t.disk ~lba:(lba_of t addr) ~sectors:t.spb
 
-let read_inner t addr =
+(* Charge a timed read of one block; a block still buffered is free. *)
+let charge_read t addr =
   check_addr t addr;
-  match Hashtbl.find_opt t.pending addr with
-  | Some (Some data) -> Bytes.copy data
-  | Some None -> Bytes.make t.block_size '\000'
-  | None ->
-    disk_read t ~addr ~blocks:1;
-    Sim_disk.peek t.disk ~lba:(lba_of t addr) ~sectors:t.spb
+  if not (Hashtbl.mem t.pending addr) then disk_read t ~addr ~blocks:1
 
-let read t addr = traced t "read" ~bytes:t.block_size (fun () -> read_inner t addr)
+let read t addr =
+  traced t "read" ~bytes:t.block_size (fun () ->
+      charge_read t addr;
+      peek t addr)
 
 let written_extent t seg =
   let sg = t.segs.(seg) in
-  if sg.state = Open && seg = t.segs.(t.current).index then t.flushed else sg.written
+  if sg.state = Open && seg = t.current then t.flushed else sg.written
 
+(* Read-ahead charges only: the caller fetches the bytes it wants with
+   [peek], so a caller that keeps no contents copies none. *)
 let read_run_inner t addr n =
   check_addr t addr;
   if n <= 0 then invalid_arg "Log.read_run";
   let seg = seg_of t addr in
   let slot = slot_of t addr in
   let extent = written_extent t seg in
-  if slot >= extent then [ (addr, read t addr) ]
+  if slot >= extent then begin
+    traced t "read" ~bytes:t.block_size (fun () -> charge_read t addr);
+    1
+  end
   else begin
     let count = min n (extent - slot) in
     disk_read t ~addr ~blocks:count;
-    List.init count (fun i ->
-        let a = addr + i in
-        (a, Sim_disk.peek t.disk ~lba:(lba_of t a) ~sectors:t.spb))
+    count
   end
 
 let read_run t addr n =
@@ -536,7 +541,17 @@ let reattach disk =
   |> List.iter (fun (seg, _) ->
          t.epoch_counter <- t.epoch_counter + 1;
          t.segs.(seg).epoch <- t.epoch_counter);
-  open_segment_exn t;
+  (* Every live count is still 0 here: owners re-mark liveness during
+     their own recovery. Opening a segment must therefore never
+     reclaim, or a full log would free every closed segment and
+     recover empty. With a free segment, open it now; without one, the
+     first append opens one, after liveness has been rebuilt. *)
+  if free_segments t > 0 then open_segment_exn t
+  else begin
+    t.current <- -1;
+    t.frontier <- 0;
+    t.flushed <- 0
+  end;
   t
 
 let mark_live t addr tag =

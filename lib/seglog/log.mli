@@ -103,10 +103,13 @@ val read_superblock : t -> Bytes.t
 val read : t -> addr -> Bytes.t
 (** Timed read of one block (free if the block is still buffered). *)
 
-val read_run : t -> addr -> int -> (addr * Bytes.t) list
-(** [read_run t a n] reads up to [n] blocks starting at [a] as one
-    sequential disk operation, clamped to the written extent of [a]'s
-    segment. Used for read-ahead. *)
+val read_run : t -> addr -> int -> int
+(** [read_run t a n] charges a read of up to [n] blocks starting at [a]
+    as one sequential disk operation, clamped to the written extent of
+    [a]'s segment, and returns how many blocks [k >= 1] it covered:
+    [a, a + k). Used for read-ahead. Charging is split from fetching:
+    a caller that wants the contents takes them with {!peek}, at no
+    further cost. *)
 
 val peek : t -> addr -> Bytes.t
 (** Contents without timing. *)
@@ -142,7 +145,10 @@ val reattach : S4_disk.Sim_disk.t -> t
 (** Rebuild log state from disk contents after a "crash": segment
     summaries identify closed segments; unsummarised segments are
     probed for self-identifying blocks. All blocks start dead — the
-    store re-marks live blocks as it replays the journal. *)
+    store re-marks live blocks as it replays the journal. Reattach
+    never reclaims: when no segment is free, none is opened until the
+    first {!append}, which runs after the owners have rebuilt
+    liveness. *)
 
 val mark_live : t -> addr -> Tag.t -> unit
 (** Declare a block live during recovery (idempotent). *)

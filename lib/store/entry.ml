@@ -177,19 +177,14 @@ let pp ppf t = Format.fprintf ppf "#%Ld.%d @%Ld %a" t.oid t.seq t.time pp_op t.o
 
 let map_addr f a = if a = Log.none then a else f a
 
-let remap f = function
-  | Create as op -> op
-  | Write { off; len; old_size; new_size; blocks } ->
-    Write
-      {
-        off;
-        len;
-        old_size;
-        new_size;
-        blocks = List.map (fun (fb, nw, old) -> (fb, map_addr f nw, map_addr f old)) blocks;
-      }
-  | Truncate { old_size; new_size; freed } ->
-    Truncate { old_size; new_size; freed = List.map (fun (fb, a) -> (fb, map_addr f a)) freed }
-  | (Set_attr _ | Set_acl _ | Delete _) as op -> op
-  | Checkpoint { addrs } -> Checkpoint { addrs = List.map (map_addr f) addrs }
-  | Relocate _ as op -> op
+(* An op none of whose addresses [f] moves comes back as is, so a
+   rewrite pass allocates only for the entries it changes. *)
+let remap f op =
+  let moved a = map_addr f a <> a in
+  match op with
+  | Write ({ blocks; _ } as w) when List.exists (fun (_, nw, old) -> moved nw || moved old) blocks ->
+    Write { w with blocks = List.map (fun (fb, nw, old) -> (fb, map_addr f nw, map_addr f old)) blocks }
+  | Truncate ({ freed; _ } as tr) when List.exists (fun (_, a) -> moved a) freed ->
+    Truncate { tr with freed = List.map (fun (fb, a) -> (fb, map_addr f a)) freed }
+  | Checkpoint { addrs } when List.exists moved addrs -> Checkpoint { addrs = List.map (map_addr f) addrs }
+  | op -> op

@@ -62,6 +62,7 @@ val new_blocks : op -> addr list
 
 val remap : (addr -> addr) -> op -> op
 (** Rewrite every block address through the given map (used when the
-    cleaner relocates blocks). *)
+    cleaner relocates blocks). An op the map leaves unchanged is
+    returned physically equal. *)
 
 val pp : Format.formatter -> t -> unit

@@ -125,16 +125,24 @@ let zeros t = Bytes.make (bs t) '\000'
 let cache_block t a content =
   Lru.insert t.bcache a (if t.cfg.keep_data then content else None) ~cost:(bs t)
 
-let get_block t a =
+(* The one block read path. A hit is free; a miss charges one
+   read-ahead run and caches every block of it. The charges and cache
+   inserts are the same in both modes, but only a content-retaining
+   store fetches bytes: a timing-only store caches [None], and every
+   caller there uses no contents. [None] in a content-retaining store
+   is a block cached as zeros. *)
+let block t a =
   match Lru.find t.bcache a with
-  | Some (Some b) -> b
-  | Some None -> zeros t
+  | Some content -> content
   | None ->
-    let run = Log.read_run t.log a t.cfg.readahead_blocks in
-    List.iter (fun (ra, rb) -> cache_block t ra (Some rb)) run;
-    (match run with
-     | (a0, b0) :: _ when a0 = a -> b0
-     | _ -> Log.read t.log a)
+    let k = Log.read_run t.log a t.cfg.readahead_blocks in
+    let fetch a = if t.cfg.keep_data then Some (Log.peek t.log a) else None in
+    let first = fetch a in
+    cache_block t a first;
+    for i = 1 to k - 1 do
+      cache_block t (a + i) (fetch (a + i))
+    done;
+    first
 
 (* ------------------------------------------------------------------ *)
 (* Journal                                                             *)
@@ -278,84 +286,52 @@ let pack_threshold t = bs t / 4
 (* Dedicated chunk: magic, oid, seq, idx, nchunks, payload; CRC at the
    block tail. *)
 let encode_ckchunk t ~oid ~seq ~idx ~nchunks payload =
-  let block_size = bs t in
-  let w = Bcodec.writer ~capacity:block_size () in
-  Bcodec.w_u16 w ck_magic;
-  Bcodec.w_i64 w oid;
-  Bcodec.w_int w seq;
-  Bcodec.w_int w idx;
-  Bcodec.w_int w nchunks;
-  Bcodec.w_bytes w payload;
-  let body = Bcodec.contents w in
-  if Bytes.length body + 4 > block_size then invalid_arg "ckchunk too big";
-  let out = Bytes.make block_size '\000' in
-  Bytes.blit body 0 out 0 (Bytes.length body);
-  let crc = S4_util.Crc32.sub out ~pos:0 ~len:(block_size - 4) in
-  Bcodec.set_u32 out (block_size - 4) (Int32.to_int crc land 0xFFFFFFFF);
-  out
+  Bcodec.frame ~size:(bs t) (fun w ->
+      Bcodec.w_u16 w ck_magic;
+      Bcodec.w_i64 w oid;
+      Bcodec.w_int w seq;
+      Bcodec.w_int w idx;
+      Bcodec.w_int w nchunks;
+      Bcodec.w_bytes w payload)
 
 let decode_ckchunk b =
-  let n = Bytes.length b in
-  if n < 20 then None
-  else if Bcodec.get_u16 b 0 <> ck_magic then None
-  else begin
-    let stored = Bcodec.get_u32 b (n - 4) in
-    let crc = Int32.to_int (S4_util.Crc32.sub b ~pos:0 ~len:(n - 4)) land 0xFFFFFFFF in
-    if stored <> crc then None
-    else begin
-      try
-        let r = Bcodec.reader ~pos:2 b in
-        let oid = Bcodec.r_i64 r in
-        let seq = Bcodec.r_int r in
-        let idx = Bcodec.r_int r in
-        let nchunks = Bcodec.r_int r in
-        let payload = Bcodec.r_bytes r in
-        Some (oid, seq, idx, nchunks, payload)
-      with Bcodec.Decode_error _ -> None
-    end
-  end
+  if Bytes.length b < 20 || Bcodec.get_u16 b 0 <> ck_magic || not (Bcodec.check_frame b) then None
+  else
+    try
+      let r = Bcodec.reader ~pos:2 b in
+      let oid = Bcodec.r_i64 r in
+      let seq = Bcodec.r_int r in
+      let idx = Bcodec.r_int r in
+      let nchunks = Bcodec.r_int r in
+      let payload = Bcodec.r_bytes r in
+      Some (oid, seq, idx, nchunks, payload)
+    with Bcodec.Decode_error _ -> None
 
 (* Pack block: magic, count, then (oid, seq, image) triples; CRC. *)
 let encode_cpack t triples =
-  let block_size = bs t in
-  let w = Bcodec.writer ~capacity:block_size () in
-  Bcodec.w_u16 w pack_magic;
-  Bcodec.w_int w (List.length triples);
-  List.iter
-    (fun (oid, seq, image) ->
-      Bcodec.w_i64 w oid;
-      Bcodec.w_int w seq;
-      Bcodec.w_bytes w image)
-    triples;
-  let body = Bcodec.contents w in
-  if Bytes.length body + 4 > block_size then invalid_arg "cpack too big";
-  let out = Bytes.make block_size '\000' in
-  Bytes.blit body 0 out 0 (Bytes.length body);
-  let crc = S4_util.Crc32.sub out ~pos:0 ~len:(block_size - 4) in
-  Bcodec.set_u32 out (block_size - 4) (Int32.to_int crc land 0xFFFFFFFF);
-  out
+  Bcodec.frame ~size:(bs t) (fun w ->
+      Bcodec.w_u16 w pack_magic;
+      Bcodec.w_int w (List.length triples);
+      List.iter
+        (fun (oid, seq, image) ->
+          Bcodec.w_i64 w oid;
+          Bcodec.w_int w seq;
+          Bcodec.w_bytes w image)
+        triples)
 
 let decode_cpack b =
-  let n = Bytes.length b in
-  if n < 10 then None
-  else if Bcodec.get_u16 b 0 <> pack_magic then None
-  else begin
-    let stored = Bcodec.get_u32 b (n - 4) in
-    let crc = Int32.to_int (S4_util.Crc32.sub b ~pos:0 ~len:(n - 4)) land 0xFFFFFFFF in
-    if stored <> crc then None
-    else begin
-      try
-        let r = Bcodec.reader ~pos:2 b in
-        let count = Bcodec.r_int r in
-        Some
-          (List.init count (fun _ ->
-               let oid = Bcodec.r_i64 r in
-               let seq = Bcodec.r_int r in
-               let image = Bcodec.r_bytes r in
-               (oid, seq, image)))
-      with Bcodec.Decode_error _ -> None
-    end
-  end
+  if Bytes.length b < 10 || Bcodec.get_u16 b 0 <> pack_magic || not (Bcodec.check_frame b) then None
+  else
+    try
+      let r = Bcodec.reader ~pos:2 b in
+      let count = Bcodec.r_int r in
+      Some
+        (List.init count (fun _ ->
+             let oid = Bcodec.r_i64 r in
+             let seq = Bcodec.r_int r in
+             let image = Bcodec.r_bytes r in
+             (oid, seq, image)))
+    with Bcodec.Decode_error _ -> None
 
 let is_packed t a = Hashtbl.mem t.cpack_refs a
 
@@ -463,7 +439,7 @@ let touch_object t obj =
   | None ->
     (* Metadata fault: read the checkpoint image and the journal blocks
        written since (bounded; they are usually cached). *)
-    List.iter (fun a -> ignore (get_block t a)) obj.o_ckpt_addrs;
+    List.iter (fun a -> ignore (block t a)) obj.o_ckpt_addrs;
     let distinct = Hashtbl.create 8 in
     let budget = ref 16 in
     List.iter
@@ -471,7 +447,7 @@ let touch_object t obj =
         if !budget > 0 && re.jaddr <> Log.none && not (Hashtbl.mem distinct re.jaddr) then begin
           Hashtbl.replace distinct re.jaddr ();
           decr budget;
-          ignore (get_block t re.jaddr)
+          ignore (block t re.jaddr)
         end)
       obj.o_entries;
     Lru.insert t.ocache obj.o_oid () ~cost:(object_cost obj)
@@ -633,7 +609,8 @@ let write_chunk t obj ~off ~len data_slice =
         if not t.cfg.keep_data then None
         else begin
           let base =
-            if old <> Log.none && not covers_fully then Bytes.copy (get_block t old)
+            if old <> Log.none && not covers_fully then
+              (match block t old with Some b -> Bytes.copy b | None -> zeros t)
             else zeros t
           in
           let from = max off block_start in
@@ -646,7 +623,7 @@ let write_chunk t obj ~off ~len data_slice =
       in
       (* Even without retained contents, a partial overwrite of an
          existing block costs a read-modify-write. *)
-      if old <> Log.none && not covers_fully && not t.cfg.keep_data then ignore (get_block t old);
+      if old <> Log.none && not covers_fully && not t.cfg.keep_data then ignore (block t old);
       let fresh = Log.append t.log (Tag.Data { oid = obj.o_oid; fblock = fb }) ?data:content () in
       cache_block t fresh content;
       table_set obj fb fresh;
@@ -769,7 +746,7 @@ let view_at t obj ~at =
   let undo re =
     if re.jaddr <> Log.none && not (Hashtbl.mem touched re.jaddr) then begin
       Hashtbl.replace touched re.jaddr ();
-      ignore (get_block t re.jaddr)
+      ignore (block t re.jaddr)
     end;
     match re.e.Entry.op with
     | Entry.Create -> exists := false
@@ -855,11 +832,12 @@ let read_inner t ?at oid ~off ~len =
     for fb = first to last do
       let a = view_block v fb in
       if a <> Log.none then begin
-        let b = get_block t a in
         let block_start = fb * block_size in
         let from = max off block_start in
         let until = min (off + len) (block_start + block_size) in
-        if t.cfg.keep_data then Bytes.blit b (from - block_start) out (from - off) (until - from)
+        match block t a with
+        | Some b -> Bytes.blit b (from - block_start) out (from - off) (until - from)
+        | None -> ()
       end
     done;
     t.s.bytes_read <- t.s.bytes_read + len;
@@ -937,9 +915,9 @@ type export = {
    migrator streams the history off the disk). [None] content only in
    timing-only mode; a hole simply doesn't appear in the block list. *)
 let export_block t a =
-  let b = get_block t a in
+  let content = block t a in
   t.s.bytes_read <- t.s.bytes_read + bs t;
-  if t.cfg.keep_data then Some (Bytes.copy b) else None
+  if t.cfg.keep_data then Some (match content with Some b -> Bytes.copy b | None -> zeros t) else None
 
 let export_history t oid =
   let obj = get_obj t oid in
@@ -1473,7 +1451,9 @@ let rewrite_refs obj ~from_ ~to_ =
   done;
   let f a = if a = from_ then to_ else a in
   List.iter
-    (fun re -> re.e <- { re.e with Entry.op = Entry.remap f re.e.Entry.op })
+    (fun re ->
+      let op = Entry.remap f re.e.Entry.op in
+      if op != re.e.Entry.op then re.e <- { re.e with Entry.op = op })
     obj.o_entries
 
 let compact_segment t ~seg ?(on_audit_move = fun _ _ -> ()) () =

@@ -67,7 +67,7 @@ let fsync_dir path =
 
 let save path (clock : Simclock.t) (disk : Sim_disk.t) =
   let body = encode_body clock disk in
-  let crc = Int32.to_int (Crc32.string body) land 0xFFFFFFFF in
+  let crc = Crc32.string body in
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
   (try
@@ -166,7 +166,7 @@ let load path =
   if String.length raw < mlen + 4 then corrupt path "truncated (no checksum)";
   let body = String.sub raw mlen (String.length raw - mlen - 4) in
   let stored = Int32.to_int (String.get_int32_be raw (String.length raw - 4)) land 0xFFFFFFFF in
-  let crc = Int32.to_int (Crc32.string body) land 0xFFFFFFFF in
+  let crc = Crc32.string body in
   if stored <> crc then corrupt path "checksum mismatch (stored %08x, computed %08x)" stored crc;
   load_body path body
 

@@ -2,56 +2,115 @@ exception Decode_error of string
 
 let fail fmt = Format.kasprintf (fun s -> raise (Decode_error s)) fmt
 
-let get_u16 b off = Char.code (Bytes.get b off) lor (Char.code (Bytes.get b (off + 1)) lsl 8)
-
-let set_u16 b off v =
-  Bytes.set b off (Char.chr (v land 0xFF));
-  Bytes.set b (off + 1) (Char.chr ((v lsr 8) land 0xFF))
-
-let get_u32 b off = get_u16 b off lor (get_u16 b (off + 2) lsl 16)
-
-let set_u32 b off v =
-  set_u16 b off (v land 0xFFFF);
-  set_u16 b (off + 2) ((v lsr 16) land 0xFFFF)
-
+let get_u16 b off = Bytes.get_uint16_le b off
+let set_u16 b off v = Bytes.set_uint16_le b off (v land 0xFFFF)
+let get_u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xFFFFFFFF
+let set_u32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
 let get_i64 b off = Bytes.get_int64_le b off
 let set_i64 b off v = Bytes.set_int64_le b off v
 
-type writer = Buffer.t
+(* A writer appends at [len] into [buf]; [cap] is how far it may
+   write. A growable writer doubles [buf] when it reaches [cap]; a
+   fixed one writes in place into a caller's buffer and refuses to
+   pass [cap]. *)
+type writer = { mutable buf : Bytes.t; mutable len : int; mutable cap : int; growable : bool }
 
-let writer ?(capacity = 64) () = Buffer.create capacity
-let w_u8 w v = Buffer.add_char w (Char.chr (v land 0xFF))
+let writer ?(capacity = 64) () =
+  let capacity = max 1 capacity in
+  { buf = Bytes.create capacity; len = 0; cap = capacity; growable = true }
+
+let into b = { buf = b; len = 0; cap = Bytes.length b; growable = false }
+
+let grow w n =
+  if not w.growable then invalid_arg "Bcodec: write past the end of a fixed buffer";
+  let need = w.len + n in
+  let cap = ref (2 * Bytes.length w.buf) in
+  while !cap < need do
+    cap := 2 * !cap
+  done;
+  let b = Bytes.create !cap in
+  Bytes.blit w.buf 0 b 0 w.len;
+  w.buf <- b;
+  w.cap <- !cap
+
+let reserve w n = if w.len + n > w.cap then grow w n
+
+let w_u8 w v =
+  reserve w 1;
+  Bytes.unsafe_set w.buf w.len (Char.unsafe_chr (v land 0xFF));
+  w.len <- w.len + 1
 
 let w_u16 w v =
-  w_u8 w v;
-  w_u8 w (v lsr 8)
+  reserve w 2;
+  set_u16 w.buf w.len v;
+  w.len <- w.len + 2
 
 let w_u32 w v =
-  w_u16 w (v land 0xFFFF);
-  w_u16 w ((v lsr 16) land 0xFFFF)
+  reserve w 4;
+  set_u32 w.buf w.len v;
+  w.len <- w.len + 4
 
-let w_i64 w v = Buffer.add_int64_le w v
+let w_i64 w v =
+  reserve w 8;
+  Bytes.set_int64_le w.buf w.len v;
+  w.len <- w.len + 8
 
-let rec w_int w v =
+let varint_size v =
+  if v < 0 then invalid_arg "Bcodec.varint_size: negative";
+  let rec loop v n = if v < 0x80 then n else loop (v lsr 7) (n + 1) in
+  loop v 1
+
+let w_int w v =
   if v < 0 then invalid_arg "Bcodec.w_int: negative";
-  if v < 0x80 then w_u8 w v
-  else begin
-    w_u8 w (0x80 lor (v land 0x7F));
-    w_int w (v lsr 7)
-  end
+  reserve w (varint_size v);
+  let b = w.buf in
+  let rec go v i =
+    if v < 0x80 then begin
+      Bytes.unsafe_set b i (Char.unsafe_chr v);
+      i + 1
+    end
+    else begin
+      Bytes.unsafe_set b i (Char.unsafe_chr (0x80 lor (v land 0x7F)));
+      go (v lsr 7) (i + 1)
+    end
+  in
+  w.len <- go v w.len
 
-let w_raw w b = Buffer.add_bytes w b
+let w_raw w b =
+  let n = Bytes.length b in
+  reserve w n;
+  Bytes.blit b 0 w.buf w.len n;
+  w.len <- w.len + n
 
 let w_bytes w b =
   w_int w (Bytes.length b);
   w_raw w b
 
 let w_string w s =
-  w_int w (String.length s);
-  Buffer.add_string w s
+  let n = String.length s in
+  w_int w n;
+  reserve w n;
+  Bytes.blit_string s 0 w.buf w.len n;
+  w.len <- w.len + n
 
-let length = Buffer.length
-let contents w = Buffer.to_bytes w
+let length w = w.len
+let contents w = Bytes.sub w.buf 0 w.len
+
+(* The one owner of the block framing every self-checking on-disk
+   block shares: body from offset 0, zero pad, CRC-32 of everything
+   before it in the last four bytes. The body is written in place. *)
+let frame ~size body =
+  if size < 4 then invalid_arg "Bcodec.frame: block too small";
+  let b = Bytes.create size in
+  let w = { buf = b; len = 0; cap = size - 4; growable = false } in
+  body w;
+  Bytes.fill b w.len (size - 4 - w.len) '\000';
+  set_u32 b (size - 4) (Crc32.sub b ~pos:0 ~len:(size - 4));
+  b
+
+let check_frame b =
+  let n = Bytes.length b in
+  n >= 4 && get_u32 b (n - 4) = Crc32.sub b ~pos:0 ~len:(n - 4)
 
 type reader = { buf : Bytes.t; mutable pos : int }
 

@@ -23,12 +23,20 @@ val set_i64 : Bytes.t -> int -> int64 -> unit
 type writer
 
 val writer : ?capacity:int -> unit -> writer
+
+val into : Bytes.t -> writer
+(** A fixed writer that fills the given buffer in place from offset 0.
+    Writing past its end raises [Invalid_argument]. *)
+
 val w_u8 : writer -> int -> unit
 val w_u16 : writer -> int -> unit
 val w_u32 : writer -> int -> unit
 val w_i64 : writer -> int64 -> unit
 val w_int : writer -> int -> unit
 (** Varint (LEB128) encoding of a non-negative int. *)
+
+val varint_size : int -> int
+(** Bytes {!w_int} writes for a non-negative int. *)
 
 val w_bytes : writer -> Bytes.t -> unit
 (** Length-prefixed (varint) byte string. *)
@@ -39,6 +47,21 @@ val w_raw : writer -> Bytes.t -> unit
 
 val length : writer -> int
 val contents : writer -> Bytes.t
+
+(** {1 Self-checking blocks}
+
+    Every self-identifying on-disk block (journal, audit record and
+    seal, segment summary, checkpoint chunk and pack) is framed the
+    same way: its body from offset 0, zero padding, and the CRC-32 of
+    everything before it in the last four bytes (little-endian). *)
+
+val frame : size:int -> (writer -> unit) -> Bytes.t
+(** [frame ~size body] is a fresh [size]-byte block whose body [body]
+    writes in place. Raises [Invalid_argument] if the body leaves fewer
+    than four bytes for the CRC. *)
+
+val check_frame : Bytes.t -> bool
+(** Whether the last four bytes of a block hold the CRC-32 of the rest. *)
 
 (** {1 Reader} *)
 

@@ -1,10 +1,12 @@
 (* Pure-OCaml SHA-256 (FIPS 180-4). The audit chain needs a real
    cryptographic hash — CRC-32 is trivially forgeable — and the
    toolchain carries no crypto library, so the compression function
-   lives here. Performance is adequate: audit records are tens of
-   bytes and chaining is one compression call per record. All 32-bit
-   word arithmetic is done in native ints masked to 32 bits (OCaml
-   ints are 63-bit on every platform we target). *)
+   lives here. Chaining costs two compression calls per audit record
+   (a 32-byte head plus a record of tens of bytes), so the kernel
+   loads whole big-endian words, compresses straight out of the
+   caller's buffer when a full block is available, and pads in place.
+   All 32-bit word arithmetic is done in native ints masked to 32 bits
+   (OCaml ints are 63-bit on every platform we target). *)
 
 let k =
   [|
@@ -22,6 +24,8 @@ let k =
 
 let mask = 0xFFFFFFFF
 
+let iv = [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
+
 type ctx = {
   h : int array;  (* 8 state words *)
   block : Bytes.t;  (* 64-byte input block being filled *)
@@ -30,103 +34,126 @@ type ctx = {
   w : int array;  (* 64-entry message schedule, reused per block *)
 }
 
-let init () =
-  {
-    h =
-      [|
-        0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab;
-        0x5be0cd19;
-      |];
-    block = Bytes.create 64;
-    fill = 0;
-    total = 0;
-    w = Array.make 64 0;
-  }
+let init () = { h = Array.copy iv; block = Bytes.create 64; fill = 0; total = 0; w = Array.make 64 0 }
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+let reset ctx =
+  Array.blit iv 0 ctx.h 0 8;
+  ctx.fill <- 0;
+  ctx.total <- 0
 
-let compress ctx =
-  let w = ctx.w and b = ctx.block in
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external swap32 : int32 -> int32 = "%bswap_int32"
+
+(* Big-endian 32-bit load as a non-negative native int; the caller
+   guarantees [i + 4 <= Bytes.length b]. *)
+let be32 b i =
+  let v = get32u b i in
+  Int32.to_int (if Sys.big_endian then v else swap32 v) land mask
+
+(* The sigma functions of FIPS 180-4 on 32-bit words held in native
+   ints. Each rotation is a pair of shifts whose stray high bits are
+   cleared by one mask at the end. *)
+let[@inline] big_sigma0 x =
+  ((x lsr 2) lor (x lsl 30)) lxor ((x lsr 13) lor (x lsl 19)) lxor ((x lsr 22) lor (x lsl 10))
+  land mask
+
+let[@inline] big_sigma1 x =
+  ((x lsr 6) lor (x lsl 26)) lxor ((x lsr 11) lor (x lsl 21)) lxor ((x lsr 25) lor (x lsl 7))
+  land mask
+
+let[@inline] small_sigma0 x =
+  ((x lsr 7) lor (x lsl 25)) lxor ((x lsr 18) lor (x lsl 14)) lxor (x lsr 3) land mask
+
+let[@inline] small_sigma1 x =
+  ((x lsr 17) lor (x lsl 15)) lxor ((x lsr 19) lor (x lsl 13)) lxor (x lsr 10) land mask
+
+(* One compression of the 64 bytes at [b.[off]], which the caller has
+   bounds-checked. *)
+let compress ctx b off =
+  let w = ctx.w in
   for i = 0 to 15 do
-    w.(i) <-
-      (Char.code (Bytes.get b (4 * i)) lsl 24)
-      lor (Char.code (Bytes.get b ((4 * i) + 1)) lsl 16)
-      lor (Char.code (Bytes.get b ((4 * i) + 2)) lsl 8)
-      lor Char.code (Bytes.get b ((4 * i) + 3))
+    Array.unsafe_set w i (be32 b (off + (4 * i)))
   done;
   for i = 16 to 63 do
-    let s0 = rotr w.(i - 15) 7 lxor rotr w.(i - 15) 18 lxor (w.(i - 15) lsr 3) in
-    let s1 = rotr w.(i - 2) 17 lxor rotr w.(i - 2) 19 lxor (w.(i - 2) lsr 10) in
-    w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
+    Array.unsafe_set w i
+      ((Array.unsafe_get w (i - 16)
+       + small_sigma0 (Array.unsafe_get w (i - 15))
+       + Array.unsafe_get w (i - 7)
+       + small_sigma1 (Array.unsafe_get w (i - 2)))
+      land mask)
   done;
-  let a = ref ctx.h.(0) and bb = ref ctx.h.(1) and c = ref ctx.h.(2) and d = ref ctx.h.(3) in
-  let e = ref ctx.h.(4) and f = ref ctx.h.(5) and g = ref ctx.h.(6) and hh = ref ctx.h.(7) in
+  let h = ctx.h in
+  let a = ref h.(0) and bb = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
+  let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
   for i = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = !e land !f lxor (lnot !e land !g) in
-    let t1 = (!hh + s1 + ch + k.(i) + w.(i)) land mask in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = !a land !bb lxor (!a land !c) lxor (!bb land !c) in
-    let t2 = (s0 + maj) land mask in
+    let e' = !e and a' = !a in
+    let ch = e' land !f lxor (lnot e' land !g) in
+    let t1 = !hh + big_sigma1 e' + ch + Array.unsafe_get k i + Array.unsafe_get w i in
+    let t2 = big_sigma0 a' + (a' land !bb lxor (a' land !c) lxor (!bb land !c)) in
     hh := !g;
     g := !f;
-    f := !e;
+    f := e';
     e := (!d + t1) land mask;
     d := !c;
     c := !bb;
-    bb := !a;
+    bb := a';
     a := (t1 + t2) land mask
   done;
-  ctx.h.(0) <- (ctx.h.(0) + !a) land mask;
-  ctx.h.(1) <- (ctx.h.(1) + !bb) land mask;
-  ctx.h.(2) <- (ctx.h.(2) + !c) land mask;
-  ctx.h.(3) <- (ctx.h.(3) + !d) land mask;
-  ctx.h.(4) <- (ctx.h.(4) + !e) land mask;
-  ctx.h.(5) <- (ctx.h.(5) + !f) land mask;
-  ctx.h.(6) <- (ctx.h.(6) + !g) land mask;
-  ctx.h.(7) <- (ctx.h.(7) + !hh) land mask
+  h.(0) <- (h.(0) + !a) land mask;
+  h.(1) <- (h.(1) + !bb) land mask;
+  h.(2) <- (h.(2) + !c) land mask;
+  h.(3) <- (h.(3) + !d) land mask;
+  h.(4) <- (h.(4) + !e) land mask;
+  h.(5) <- (h.(5) + !f) land mask;
+  h.(6) <- (h.(6) + !g) land mask;
+  h.(7) <- (h.(7) + !hh) land mask
 
 let feed_sub ctx buf pos len =
-  if pos < 0 || len < 0 || pos + len > Bytes.length buf then invalid_arg "Sha256.feed_sub";
+  if pos < 0 || len < 0 || pos > Bytes.length buf - len then invalid_arg "Sha256.feed_sub";
   ctx.total <- ctx.total + len;
   let pos = ref pos and len = ref len in
-  while !len > 0 do
+  if ctx.fill > 0 then begin
     let n = min !len (64 - ctx.fill) in
     Bytes.blit buf !pos ctx.block ctx.fill n;
     ctx.fill <- ctx.fill + n;
     pos := !pos + n;
     len := !len - n;
     if ctx.fill = 64 then begin
-      compress ctx;
+      compress ctx ctx.block 0;
       ctx.fill <- 0
     end
-  done
+  end;
+  while !len >= 64 do
+    compress ctx buf !pos;
+    pos := !pos + 64;
+    len := !len - 64
+  done;
+  if !len > 0 then begin
+    Bytes.blit buf !pos ctx.block 0 !len;
+    ctx.fill <- !len
+  end
 
 let feed ctx buf = feed_sub ctx buf 0 (Bytes.length buf)
 let feed_string ctx s = feed ctx (Bytes.unsafe_of_string s)
 
+(* Padding — 0x80, zeros to 56 mod 64, the 64-bit big-endian bit
+   length — is written in place into the context's block. *)
 let finish ctx =
-  let bits = ctx.total * 8 in
-  (* Padding: 0x80, zeros to 56 mod 64, 64-bit big-endian bit length. *)
-  feed ctx (Bytes.make 1 '\x80');
-  let pad = (64 + 56 - ctx.fill) mod 64 in
-  ctx.total <- ctx.total + pad;
-  (* feed adjusts total; the length field must not count padding, so
-     track it locally via [bits] computed before padding began. *)
-  if pad > 0 then feed ctx (Bytes.make pad '\x00');
-  let lenb = Bytes.create 8 in
-  for i = 0 to 7 do
-    Bytes.set lenb i (Char.chr ((bits lsr (8 * (7 - i))) land 0xff))
-  done;
-  feed ctx lenb;
-  assert (ctx.fill = 0);
+  let b = ctx.block in
+  Bytes.unsafe_set b ctx.fill '\x80';
+  let fill = ctx.fill + 1 in
+  if fill > 56 then begin
+    Bytes.fill b fill (64 - fill) '\000';
+    compress ctx b 0;
+    Bytes.fill b 0 56 '\000'
+  end
+  else Bytes.fill b fill (56 - fill) '\000';
+  Bytes.set_int64_be b 56 (Int64.of_int (ctx.total * 8));
+  compress ctx b 0;
+  ctx.fill <- 0;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
-    let v = ctx.h.(i) in
-    Bytes.set out (4 * i) (Char.chr ((v lsr 24) land 0xff));
-    Bytes.set out ((4 * i) + 1) (Char.chr ((v lsr 16) land 0xff));
-    Bytes.set out ((4 * i) + 2) (Char.chr ((v lsr 8) land 0xff));
-    Bytes.set out ((4 * i) + 3) (Char.chr (v land 0xff))
+    Bytes.set_int32_be out (4 * i) (Int32.of_int ctx.h.(i))
   done;
   Bytes.unsafe_to_string out
 

@@ -5,13 +5,18 @@
 type ctx
 
 val init : unit -> ctx
+
+val reset : ctx -> unit
+(** Return a context to its initial state, so one context can hash
+    many messages without allocating. *)
+
 val feed : ctx -> Bytes.t -> unit
 val feed_sub : ctx -> Bytes.t -> int -> int -> unit
 val feed_string : ctx -> string -> unit
 
 val finish : ctx -> string
-(** Finalizes and returns the 32-byte digest. The context must not be
-    reused afterwards. *)
+(** Finalizes and returns the 32-byte digest. The context must be
+    {!reset} before it hashes another message. *)
 
 val digest_bytes : Bytes.t -> string
 val digest_string : string -> string

@@ -558,6 +558,33 @@ let test_client_call_exn () =
        false
      with Failure _ -> true)
 
+(* A sync batch on a full log: the barrier's audit and journal flush
+   find no segment. The batch must answer [No_space] in every slot that
+   had succeeded, as an explicit [Sync] does, not raise out of submit. *)
+let test_sync_batch_on_full_log () =
+  let _, _, d = mk_drive ~mb:4 () in
+  let oid = expect_oid (Drive.handle d admin (Rpc.Create { acl = [] })) in
+  let chunk = 64 * 1024 in
+  let data = Bytes.make chunk 'z' in
+  let batch i =
+    [| Rpc.Write { oid; off = i * chunk; len = chunk; data = Some data }; Rpc.Get_attr { oid; at = None } |]
+  in
+  let rec fill i =
+    if i > 1000 then Alcotest.fail "log never filled";
+    let resps = Drive.submit d admin ~sync:true (batch i) in
+    if Array.exists (fun r -> r = Rpc.R_error Rpc.No_space) resps then
+      Array.iter
+        (function
+          | Rpc.R_error Rpc.No_space -> ()
+          | r -> Alcotest.failf "slot of a refused batch reads %a" Rpc.pp_resp r)
+        resps
+    else fill (i + 1)
+  in
+  fill 0;
+  (* Full now: a read-only batch still needs the barrier's audit flush. *)
+  let resps = Drive.submit d admin ~sync:true [| Rpc.Get_attr { oid; at = None } |] in
+  check Alcotest.bool "barrier refusal answers No_space" true (resps = [| Rpc.R_error Rpc.No_space |])
+
 let () =
   Alcotest.run "s4_core"
     [
@@ -587,6 +614,7 @@ let () =
         ] );
       ( "drive",
         [
+          Alcotest.test_case "sync batch on a full log" `Quick test_sync_batch_on_full_log;
           Alcotest.test_case "create/write/read" `Quick test_drive_create_write_read;
           Alcotest.test_case "all Table-1 RPCs" `Quick test_drive_all_table1_rpcs;
           Alcotest.test_case "permission checks" `Quick test_drive_permission_checks;

@@ -191,6 +191,67 @@ let test_net_stats () =
   Net.reset_stats net;
   check Alcotest.int "reset" 0 (Net.stats net).Net.rpcs
 
+(* --- Page store vs a per-sector model ------------------------------ *)
+
+module Fault = S4_disk.Fault
+module Rng = S4_util.Rng
+
+(* The in-memory backing keeps 4 KB pages; this reference keeps one
+   optional sector each, which is what the interface promises. Writes
+   go through a fault policy that tears some of them to a sector
+   prefix; a twin policy on the same seed tells the model which prefix. *)
+let prop_pages_match_sector_model =
+  let geometry = { small_geom with Geometry.sectors = 512 } in
+  let ss = geometry.Geometry.sector_size in
+  let gen_op =
+    QCheck.Gen.(quad (int_bound 3) (int_bound 511) (1 -- 24) int)
+  in
+  QCheck.Test.make ~name:"page store matches a per-sector model" ~count:200
+    QCheck.(pair small_nat (make Gen.(list_size (1 -- 60) gen_op)))
+    (fun (seed, ops) ->
+      let disk = Sim_disk.create ~geometry (Simclock.create ()) in
+      let config = { Fault.quiet with Fault.torn_write_rate = 0.3 } in
+      Sim_disk.set_fault disk (Some (Fault.create ~config (Rng.create ~seed)));
+      let twin = Fault.create ~config (Rng.create ~seed) in
+      let model = Array.make geometry.Geometry.sectors None in
+      let model_peek lba sectors =
+        let out = Bytes.make (sectors * ss) '\000' in
+        for i = 0 to sectors - 1 do
+          match model.(lba + i) with Some b -> Bytes.blit b 0 out (i * ss) ss | None -> ()
+        done;
+        out
+      in
+      let store lba k data =
+        for i = 0 to k - 1 do
+          model.(lba + i) <- Option.map (fun b -> Bytes.sub b (i * ss) ss) data
+        done
+      in
+      List.for_all
+        (fun (kind, lba, sectors, fill) ->
+          let sectors = min sectors (geometry.Geometry.sectors - lba) in
+          let payload = Bytes.init (sectors * ss) (fun i -> Char.chr ((fill + (i * 7) + (i / ss)) land 0xFF)) in
+          match kind with
+          | 0 | 1 ->
+            (* Timed write (kind 0) or erase (kind 1), possibly torn. *)
+            let data = if kind = 0 then Some payload else None in
+            let k =
+              match Fault.on_write twin ~sectors with
+              | Fault.W_torn k -> k
+              | _ -> sectors
+            in
+            Sim_disk.write disk ?data ~lba ~sectors ();
+            store lba k data;
+            true
+          | 2 ->
+            Sim_disk.poke disk ~lba ~data:payload;
+            store lba sectors (Some payload);
+            true
+          | _ -> Bytes.equal (Sim_disk.peek disk ~lba ~sectors) (model_peek lba sectors))
+        ops
+      && Bytes.equal
+           (Sim_disk.peek disk ~lba:0 ~sectors:geometry.Geometry.sectors)
+           (model_peek 0 geometry.Geometry.sectors))
+
 let () =
   Alcotest.run "s4_disk"
     [
@@ -217,6 +278,7 @@ let () =
           Alcotest.test_case "poke untimed" `Quick test_poke_untimed_write;
           Alcotest.test_case "length mismatch" `Quick test_write_data_length_mismatch;
           Alcotest.test_case "partial overwrite" `Quick test_partial_overwrite;
+          Qseed.qtest prop_pages_match_sector_model;
         ] );
       ( "net",
         [

@@ -326,6 +326,67 @@ let test_postmark_kill9 () =
   check Alcotest.bool "acked records all recovered" true
     (r.Crashtest.pm_recovered >= r.Crashtest.pm_acked)
 
+(* --- A full log across reattach ------------------------------------------ *)
+
+(* Write and sync until the log refuses, then reattach the same disk.
+   Reattach must rebuild the full log, not reclaim it: every segment
+   holds live history until the owners have re-marked it, so a
+   reclaiming reattach would recover an empty drive that fscks clean.
+   Only records that no successful Sync covered may go. *)
+let fill_then_reattach ~disk ~reopen =
+  let d = Drive.format disk in
+  let payload = Bytes.make (64 * 1024) 'f' in
+  let rec fill n synced =
+    if n > 1000 then Alcotest.fail "log never filled";
+    match Drive.handle d cred (Rpc.Create { acl = [] }) with
+    | Rpc.R_oid oid -> (
+      match Drive.handle d cred (Rpc.Write { oid; off = 0; len = Bytes.length payload; data = Some payload }) with
+      | Rpc.R_unit -> (
+        match Drive.handle d cred Rpc.Sync with
+        | Rpc.R_unit ->
+          (* Durable now: everything but the Sync's own record, which
+             is appended after its barrier. *)
+          let all = Audit.records (Drive.audit d) () in
+          fill (n + 1) (List.filteri (fun i _ -> i < List.length all - 1) all)
+        | Rpc.R_error Rpc.No_space -> synced
+        | r -> Alcotest.failf "sync: %a" Rpc.pp_resp r)
+      | Rpc.R_error Rpc.No_space -> synced
+      | r -> Alcotest.failf "write: %a" Rpc.pp_resp r)
+    | Rpc.R_error Rpc.No_space -> synced
+    | r -> Alcotest.failf "create: %a" Rpc.pp_resp r
+  in
+  let synced = fill 0 [] in
+  check Alcotest.bool "records synced before the log filled" true (List.length synced > 100);
+  let d2 = Drive.attach (reopen ()) in
+  let log = Drive.log d2 in
+  check Alcotest.int "reattach reclaims nothing" 0 (Log.stats log).Log.segments_reclaimed;
+  check Alcotest.int "no free segment" 0 (Log.free_segments log);
+  let recovered = Audit.records (Drive.audit d2) () in
+  let rec prefix = function
+    | [], _ -> true
+    | x :: xs, y :: ys -> x = y && prefix (xs, ys)
+    | _ :: _, [] -> false
+  in
+  check Alcotest.bool "every synced record recovered" true (prefix (synced, recovered));
+  check Alcotest.(list string) "fsck clean" [] (Drive.fsck d2);
+  (* Still full: writes are refused, never granted by wiping history. *)
+  (match Drive.handle d2 cred ~sync:true (Rpc.Create { acl = [] }) with
+   | Rpc.R_error Rpc.No_space | Rpc.R_oid _ -> ()
+   | r -> Alcotest.failf "post-attach create: %a" Rpc.pp_resp r);
+  check Alcotest.bool "history kept after a refused write" true
+    (prefix (synced, Audit.records (Drive.audit d2) ()))
+
+let test_full_log_reattach_mem () =
+  let disk = Sim_disk.create ~geometry:(geom 4) (Simclock.create ()) in
+  fill_then_reattach ~disk ~reopen:(fun () -> disk)
+
+let test_full_log_reattach_file () =
+  with_tmp (fun path ->
+      let disk = Sim_disk.of_file (File_disk.create ~path (geom 4)) in
+      fill_then_reattach ~disk ~reopen:(fun () ->
+          Sim_disk.close disk;
+          Sim_disk.of_file (File_disk.open_file path)))
+
 let () =
   Alcotest.run "s4_persist"
     [
@@ -348,6 +409,8 @@ let () =
             test_mem_file_equivalence;
           Alcotest.test_case "recovery keeps mutation times monotone" `Quick
             test_recovery_clock_monotone;
+          Alcotest.test_case "full log survives reattach (memory)" `Quick test_full_log_reattach_mem;
+          Alcotest.test_case "full log survives reattach (file)" `Quick test_full_log_reattach_file;
         ] );
       ( "kill9",
         [

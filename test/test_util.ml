@@ -14,20 +14,20 @@ let qtest = Qseed.qtest
 
 let test_crc_known_vectors () =
   (* Standard test vector: CRC-32("123456789") = 0xCBF43926. *)
-  check Alcotest.int32 "123456789" 0xCBF43926l (Crc32.string "123456789");
-  check Alcotest.int32 "empty" 0l (Crc32.string "");
-  check Alcotest.int32 "a" 0xE8B7BE43l (Crc32.string "a")
+  check Alcotest.int "123456789" 0xCBF43926 (Crc32.string "123456789");
+  check Alcotest.int "empty" 0 (Crc32.string "");
+  check Alcotest.int "a" 0xE8B7BE43 (Crc32.string "a")
 
 let test_crc_incremental () =
   let whole = Crc32.string "hello world" in
   let b = Bytes.of_string "hello world" in
   let acc = Crc32.update Crc32.init b ~pos:0 ~len:5 in
   let acc = Crc32.update acc b ~pos:5 ~len:6 in
-  check Alcotest.int32 "incremental = one-shot" whole (Crc32.finish acc)
+  check Alcotest.int "incremental = one-shot" whole (Crc32.finish acc)
 
 let test_crc_sub () =
   let b = Bytes.of_string "xxhelloxx" in
-  check Alcotest.int32 "sub range" (Crc32.string "hello") (Crc32.sub b ~pos:2 ~len:5)
+  check Alcotest.int "sub range" (Crc32.string "hello") (Crc32.sub b ~pos:2 ~len:5)
 
 let test_crc_bad_range () =
   Alcotest.check_raises "out of range" (Invalid_argument "Crc32.update") (fun () ->
@@ -42,6 +42,97 @@ let prop_crc_detects_single_bit_flip =
       let b = Bytes.of_string s in
       Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
       Crc32.bytes b <> Crc32.string s)
+
+(* Bit-at-a-time CRC-32 straight from the polynomial: no tables, so it
+   shares nothing with the slice-by-8 kernel it checks. *)
+let crc_reference b ~pos ~len =
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code (Bytes.get b i);
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  !c lxor 0xFFFFFFFF
+
+let prop_crc_matches_reference =
+  QCheck.Test.make ~name:"crc32 slice-by-8 matches the bytewise reference" ~count:200
+    QCheck.(
+      make
+        ~print:(fun (_, pos, len, _) -> Printf.sprintf "pos=%d len=%d" pos len)
+        Gen.(quad int (int_bound 15) (int_bound 9000) (pair nat nat)))
+    (fun (seed, pos, len, (s1, s2)) ->
+      let rng = Random.State.make [| seed |] in
+      let b = Bytes.init (pos + len + 7) (fun _ -> Char.chr (Random.State.int rng 256)) in
+      let expected = crc_reference b ~pos ~len in
+      (* Chained [update] over three pieces split at arbitrary points. *)
+      let a = pos + (s1 mod (len + 1)) and c = pos + (s2 mod (len + 1)) in
+      let a, c = (min a c, max a c) in
+      let acc = Crc32.update Crc32.init b ~pos ~len:(a - pos) in
+      let acc = Crc32.update acc b ~pos:a ~len:(c - a) in
+      let acc = Crc32.update acc b ~pos:c ~len:(pos + len - c) in
+      Crc32.sub b ~pos ~len = expected && Crc32.finish acc = expected)
+
+(* --- SHA-256 -------------------------------------------------------- *)
+
+module Sha256 = S4_util.Sha256
+
+let sha_hex s = Sha256.to_hex (Sha256.digest_string s)
+
+let test_sha_fips_vectors () =
+  (* FIPS 180-4 / NIST CSRC example values. *)
+  check Alcotest.string "empty" "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+    (sha_hex "");
+  check Alcotest.string "abc" "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+    (sha_hex "abc");
+  check Alcotest.string "448-bit message"
+    "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+    (sha_hex "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq");
+  check Alcotest.string "a million 'a'"
+    "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+    (sha_hex (String.make 1_000_000 'a'))
+
+let prop_sha_split_invariant =
+  QCheck.Test.make ~name:"sha256 digest is independent of feed_sub splits" ~count:200
+    QCheck.(pair (string_of_size Gen.(0 -- 300)) (list_of_size Gen.(0 -- 8) small_nat))
+    (fun (s, cuts) ->
+      let n = String.length s in
+      let b = Bytes.of_string s in
+      let cuts = List.sort_uniq compare (List.map (fun c -> c mod (n + 1)) cuts) @ [ n ] in
+      let ctx = Sha256.init () in
+      (* Dirty the context first: a reset one must hash like a fresh one. *)
+      Sha256.feed_string ctx "stale state";
+      ignore (Sha256.finish ctx);
+      Sha256.reset ctx;
+      ignore
+        (List.fold_left
+           (fun from cut ->
+             Sha256.feed_sub ctx b from (cut - from);
+             cut)
+           0 cuts);
+      Sha256.finish ctx = Sha256.digest_string s)
+
+(* --- Block framing -------------------------------------------------- *)
+
+let test_frame_layout () =
+  let b = Bcodec.frame ~size:64 (fun w -> Bcodec.w_string w "body") in
+  check Alcotest.int "block size" 64 (Bytes.length b);
+  check Alcotest.string "body in place" "\004body" (Bytes.sub_string b 0 5);
+  check Alcotest.string "zero pad" (String.make 55 '\000') (Bytes.sub_string b 5 55);
+  check Alcotest.int "crc in the last four bytes" (Crc32.sub b ~pos:0 ~len:60) (Bcodec.get_u32 b 60);
+  check Alcotest.bool "checks" true (Bcodec.check_frame b);
+  Bytes.set b 3 'X';
+  check Alcotest.bool "flipped body fails" false (Bcodec.check_frame b);
+  check Alcotest.bool "short block fails" false (Bcodec.check_frame (Bytes.create 3))
+
+let test_frame_overflow () =
+  (* 60 body bytes fit a 64-byte block; one more leaves no room for the CRC. *)
+  ignore (Bcodec.frame ~size:64 (fun w -> Bcodec.w_raw w (Bytes.make 60 'x')));
+  check Alcotest.bool "overflow raises" true
+    (try
+       ignore (Bcodec.frame ~size:64 (fun w -> Bcodec.w_raw w (Bytes.make 61 'x')));
+       false
+     with Invalid_argument _ -> true)
 
 (* --- RNG ----------------------------------------------------------- *)
 
@@ -441,6 +532,17 @@ let () =
           Alcotest.test_case "sub range" `Quick test_crc_sub;
           Alcotest.test_case "bad range" `Quick test_crc_bad_range;
           qtest prop_crc_detects_single_bit_flip;
+          qtest prop_crc_matches_reference;
+        ] );
+      ( "sha256",
+        [
+          Alcotest.test_case "FIPS 180-4 vectors" `Quick test_sha_fips_vectors;
+          qtest prop_sha_split_invariant;
+        ] );
+      ( "frame",
+        [
+          Alcotest.test_case "layout" `Quick test_frame_layout;
+          Alcotest.test_case "overflow" `Quick test_frame_overflow;
         ] );
       ( "rng",
         [
