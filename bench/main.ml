@@ -1080,13 +1080,13 @@ let net () =
       (Sim_disk.create ~geometry:Geometry.cheetah_9gb clock)
   in
   let new_oid handle =
-    match handle cred ?sync:None (Rpc.Create { acl = Acl.default ~owner:1 }) with
+    match handle cred (Rpc.Create { acl = Acl.default ~owner:1 }) with
     | Rpc.R_oid oid -> oid
     | r -> Format.kasprintf failwith "net bench: create failed: %a" Rpc.pp_resp r
   in
   (* The same simulated drive work flows down every path; the wall-clock
      difference is what the codec, the session engine and the socket add. *)
-  let run_path label (handle : Rpc.credential -> ?sync:bool -> Rpc.req -> Rpc.resp) =
+  let run_path label (handle : Rpc.credential -> Rpc.req -> Rpc.resp) =
     let oid = new_oid handle in
     ignore (handle cred (Rpc.Write { oid; off = 0; len = 1024; data = Some payload }));
     let secs, () =
@@ -1110,7 +1110,7 @@ let net () =
   let loop_row =
     let srv = Netserver.of_drive (mk_drive ()) in
     let client = Netclient.connect (Nettransport.loopback srv) in
-    let row = run_path "loopback" (Netclient.handle client) in
+    let row = run_path "loopback" (fun cred req -> Netclient.handle client cred req) in
     Netclient.close client;
     row
   in
@@ -1119,7 +1119,7 @@ let net () =
   let client =
     Netclient.connect (Nettransport.tcp ~host:"127.0.0.1" ~port:(Netserver.port listener))
   in
-  let tcp_row = run_path "tcp" (Netclient.handle client) in
+  let tcp_row = run_path "tcp" (fun cred req -> Netclient.handle client cred req) in
   Report.table
     ~header:[ "path"; "us/op"; "ops/s" ]
     (List.map
@@ -1131,7 +1131,7 @@ let net () =
   print_newline ();
   Report.heading "Net: TCP batch-depth sweep (1KB reads)";
   let sweep_reads = if !full_scale then 4096 else 1024 in
-  let oid = new_oid (Netclient.handle client) in
+  let oid = new_oid (fun cred req -> Netclient.handle client cred req) in
   ignore
     (Netclient.handle client cred (Rpc.Write { oid; off = 0; len = 1024; data = Some payload }));
   let read = Rpc.Read { oid; off = 0; len = 1024; at = None } in

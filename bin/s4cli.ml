@@ -80,7 +80,7 @@ type session = {
 let open_session image user =
   let clock, disk = S4_tools.Disk_image.load_any image in
   let drive = Drive.attach disk in
-  let tr = Translator.mount ~cred:(Rpc.user_cred ~user ~client:1) (Translator.Local drive) in
+  let tr = Translator.mount ~cred:(Rpc.user_cred ~user ~client:1) (Translator.Backend (Drive.backend drive)) in
   (* Each CLI invocation is a new instant. *)
   Simclock.advance clock (Simclock.of_seconds 1.0);
   { clock; disk; drive; tr }
@@ -177,7 +177,7 @@ let cmd_format =
       { Drive.default_config with Drive.window = Simclock.of_seconds (window_days *. 86400.0) }
     in
     let drive = Drive.format ~config disk in
-    let tr = Translator.mount (Translator.Local drive) in
+    let tr = Translator.mount (Translator.Backend (Drive.backend drive)) in
     ignore tr;
     Audit.flush (Drive.audit drive);
     Log.sync (Drive.log drive);

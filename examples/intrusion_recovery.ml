@@ -42,7 +42,7 @@ let () =
   let drive = Drive.format disk in
   (* The legitimate user's NFS mount (Fig. 1b configuration). *)
   let user_cred = Rpc.user_cred ~user:1 ~client:10 in
-  let tr = Translator.mount ~cred:user_cred (Translator.Local drive) in
+  let tr = Translator.mount ~cred:user_cred (Translator.Backend (Drive.backend drive)) in
 
   section "day 1: normal operation";
   ignore (write tr "var/log/auth.log" "08:00 login alice from 10.0.0.5\n08:30 logout alice\n");
@@ -55,7 +55,7 @@ let () =
   section "day 2: the intrusion (using the stolen account)";
   (* The intruder holds alice's credential — exactly the threat model:
      compromising the host gains real users' identities. *)
-  let dirty = Translator.mount ~cred:user_cred (Translator.Local drive) in
+  let dirty = Translator.mount ~cred:user_cred (Translator.Backend (Drive.backend drive)) in
   ignore (write dirty "usr/sbin/sshd" "SSHD-BINARY v1.2.27 +BACKDOOR on port 31337");
   ignore (write dirty "var/log/auth.log" "08:00 login alice from 10.0.0.5\n08:30 logout alice\n");
   (* ^ log scrubbed: the intruder's own login line never appears *)

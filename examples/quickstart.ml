@@ -33,8 +33,8 @@ let () =
   let write s =
     ignore
       ("write"
-      => Drive.handle drive alice ~sync:true
-           (Rpc.Write { oid; off = 0; len = String.length s; data = Some (Bytes.of_string s) }))
+      => (Drive.submit drive alice ~sync:true
+            [| Rpc.Write { oid; off = 0; len = String.length s; data = Some (Bytes.of_string s) } |]).(0))
   in
   write "The first version of my file.";
   let t_first = Simclock.now clock in

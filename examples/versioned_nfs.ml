@@ -9,7 +9,6 @@ module Geometry = S4_disk.Geometry
 module Sim_disk = S4_disk.Sim_disk
 module Net = S4_disk.Net
 module Drive = S4.Drive
-module Client = S4.Client
 module Rpc = S4.Rpc
 module N = S4_nfs.Nfs_types
 module Translator = S4_nfs.Translator
@@ -27,8 +26,7 @@ let () =
   in
   let drive = Drive.format disk in
   let net = Net.create clock in
-  let client = Client.connect net drive in
-  let tr = Translator.mount (Translator.Remote client) in
+  let tr = Translator.mount (Translator.Backend (S4.Backend.over_net net (Drive.backend drive))) in
 
   (* Simulate a morning of editing: the same source file written over
      and over, the way editors and build systems actually behave. *)

@@ -327,12 +327,15 @@ let on_move t ~old_addr ~new_addr =
    I/O. A block the drive believes is live but no longer decodes is
    reported as Bad; seal-magic and record-magic blocks route to their
    item kinds; v1 (pre-chain) blocks cannot be verified and are
-   flagged. *)
+   flagged. Only live blocks count: an expired audit block stays
+   tagged in its segment until the cleaner reclaims the segment, and
+   walking it would make the chain's tail reappear and vanish with
+   cleaning. *)
 let chain_items t =
   List.filter_map
     (fun (addr, tag) ->
       match tag with
-      | Tag.Audit -> (
+      | Tag.Audit when Log.is_live t.log addr -> (
         let b = Log.peek t.log addr in
         match decode_seal b with
         | Some s -> Some (Chain.Seal s)

@@ -23,3 +23,17 @@ let group_commit ~sync barrier x resps =
     | None -> resps
     | Some err -> Array.map (fun r -> if resp_ok r then Rpc.R_error err else r) resps
   else resps
+
+let over_net net b =
+  {
+    b with
+    submit =
+      (fun cred ?(sync = false) reqs ->
+        let resps = b.submit cred ~sync reqs in
+        Array.iteri
+          (fun i req ->
+            S4_disk.Net.rpc net ~req_bytes:(Rpc.req_wire_bytes req)
+              ~resp_bytes:(Rpc.resp_wire_bytes resps.(i)))
+          reqs;
+        resps);
+  }

@@ -2,7 +2,8 @@
 
     Every S4 request producer in the repo — the in-process drive, a
     mirrored pair behind a shard router, the sharded array itself, the
-    wire-protocol client, the modelled-network client stub — exposes
+    wire-protocol client, a backend behind the modelled network
+    ({!over_net}) — exposes
     this single record, and every consumer (NFS translator, s4cli,
     crashtest, the benches) speaks it. It replaces the translator's
     private [backend] record and the half-dozen near-duplicate
@@ -18,8 +19,12 @@
     its [R_error] in its slot and the rest of the batch still runs.
     If the end-of-batch barrier itself fails, every response that
     reported success is rewritten to the barrier's [Io_error] — the
-    caller must not believe un-persisted mutations are stable, exactly
-    as with single-request [sync].
+    caller must not believe un-persisted mutations are stable.
+
+    This is the only place a barrier is paid besides an explicit [Sync]
+    request: the per-layer [handle] functions ([Drive], [Mirror],
+    [Router]) run one request and never sync. {!handle} below is the
+    consumer-side one-element [submit] and so keeps [?sync].
 
     {2 Threading model}
 
@@ -31,7 +36,7 @@
       threads or domains must serialize every {!submit}/{!handle}/
       [close] themselves; {!Net.Server} does this with its global
       backend lock. The bare drive stack ([Drive], [Mirror], the
-      modelled and wire clients) is [Serial].
+      wire client, anything behind {!over_net}) is [Serial].
     - [Domain_safe] — concurrent {!submit} calls from different
       domains are safe. The producer provides its own internal
       synchronization and may execute independent work in parallel
@@ -74,9 +79,8 @@ type t = {
 }
 
 val handle : t -> Rpc.credential -> ?sync:bool -> Rpc.req -> Rpc.resp
-(** Single-request compatibility shim: [submit] of a one-element
-    batch. [handle b cred ~sync req] is bit-for-bit equivalent to the
-    old per-layer [handle] functions. *)
+(** [submit] of a one-element batch, for consumers that issue one
+    request at a time (the NFS translator, s4perf). *)
 
 val make :
   clock:S4_util.Simclock.t ->
@@ -98,3 +102,9 @@ val group_commit :
     every success is rewritten to the barrier's error. [barrier] and
     [x] are passed apart so the caller builds no closure: the unsynced
     path allocates nothing. *)
+
+val over_net : S4_disk.Net.t -> t -> t
+(** Put the modelled network between a consumer and [b] (the paper's
+    Fig. 1a, a network-attached drive): a batch crosses as one
+    exchange, after which each request pays the round trip for its
+    own request and response sizes. *)

@@ -228,24 +228,6 @@ let refresh_pressure t =
 (* ------------------------------------------------------------------ *)
 (* Request processing                                                  *)
 
-let oid_of_req : Rpc.req -> int64 = function
-  | Rpc.Delete { oid }
-  | Rpc.Read { oid; _ }
-  | Rpc.Write { oid; _ }
-  | Rpc.Append { oid; _ }
-  | Rpc.Truncate { oid; _ }
-  | Rpc.Get_attr { oid; _ }
-  | Rpc.Set_attr { oid; _ }
-  | Rpc.Get_acl_by_user { oid; _ }
-  | Rpc.Get_acl_by_index { oid; _ }
-  | Rpc.Set_acl { oid; _ }
-  | Rpc.Flush_object { oid; _ } ->
-    oid
-  | Rpc.P_create { oid; _ } -> oid
-  | Rpc.Create _ | Rpc.P_delete _ | Rpc.P_list _ | Rpc.P_mount _ | Rpc.Sync | Rpc.Flush _
-  | Rpc.Set_window _ | Rpc.Read_audit _ | Rpc.Verify_log _ ->
-    0L
-
 exception Denied
 
 let current_acl t oid = Acl.decode (Store.current_acl_raw t.store oid)
@@ -388,69 +370,100 @@ let exec t (cred : Rpc.credential) (req : Rpc.req) : Rpc.resp =
     if not cred.Rpc.admin then raise Denied;
     Rpc.R_verify (Audit.verify ?from t.audit)
 
-let handle_inner t (cred : Rpc.credential) req =
-  t.ops <- t.ops + 1;
-  Simclock.advance (clock t) (Simclock.of_us t.cfg.cpu_us_per_rpc);
-  (* DoS defence: penalise clients abusing the history pool. *)
-  (match t.throttle with
-   | Some th ->
-     let p = Throttle.penalty th ~client:cred.Rpc.client in
-     if Int64.compare p 0L > 0 then Simclock.advance (clock t) p
-   | None -> ());
-  (* Transient faults are retried inside the log (Log.set_io_retry);
-     what reaches this perimeter is permanent (or out of retries) and
-     is surfaced as a clean R_error. Fault.Crashed is deliberately NOT
-     caught: a crashed device has no valid in-memory state left, so
-     the owner must discard this drive and reattach. *)
-  let io_failed lba transient kind =
-    t.io_errors <- t.io_errors + 1;
-    Rpc.R_error
-      (Rpc.Io_error
-         (Printf.sprintf "%s fault at lba %d%s" kind lba
-            (if transient then " (retries exhausted)" else "")))
-  in
-  let resp =
-    try exec t cred req with
-    | Denied -> Rpc.R_error Rpc.Permission_denied
-    | Store.No_such_object _ -> Rpc.R_error Rpc.Not_found
-    | Store.Is_deleted _ -> Rpc.R_error Rpc.Object_deleted
-    | Log.Log_full -> Rpc.R_error Rpc.No_space
-    | Invalid_argument m -> Rpc.R_error (Rpc.Bad_request m)
-    | Fault.Read_fault { lba; transient } -> io_failed lba transient "read"
-    | Fault.Write_fault { lba; transient } -> io_failed lba transient "write"
-  in
-  let ok = match resp with Rpc.R_error _ -> false | _ -> true in
-  (* A media fault while persisting the audit trail must not take the
-     whole drive down; count the loss and keep serving (degraded). *)
-  (try
-     Audit.append t.audit
-       {
-         Audit.at = now t;
-         user = cred.Rpc.user;
-         client = cred.Rpc.client;
-         op = Rpc.op_name req;
-         oid = oid_of_req req;
-         info = Rpc.op_info req;
-         ok;
-       }
-   with Fault.Read_fault _ | Fault.Write_fault _ -> t.audit_drops <- t.audit_drops + 1);
-  if t.ops land 1023 = 0 then refresh_pressure t;
-  resp
+(* A permanent (or retry-exhausted) media fault, as the error the
+   caller sees. *)
+let io_error t lba transient kind =
+  t.io_errors <- t.io_errors + 1;
+  Rpc.Io_error
+    (Printf.sprintf "%s fault at lba %d%s" kind lba
+       (if transient then " (retries exhausted)" else ""))
+
+let disk_busy_ns t =
+  let disk = Log.disk t.log in
+  Int64.add (Sim_disk.stats disk).Sim_disk.busy_ns (Sim_disk.phantom_ns disk)
+
+(* The drive's span fields beyond the RPC-level ones: the time-travel
+   target, the detection cutoff at entry, and the faults, retries and
+   device time the request caused. *)
+let probe =
+  {
+    Trace.clock;
+    opened =
+      (fun tok t _ req ->
+        Rpc.trace_request tok req;
+        (match req with
+         | Rpc.Read { at = Some at; _ } | Rpc.Get_attr { at = Some at; _ }
+         | Rpc.Get_acl_by_user { at = Some at; _ } | Rpc.Get_acl_by_index { at = Some at; _ } ->
+           Trace.set_at tok at
+         | _ -> ());
+        Trace.set_cutoff tok (detection_cutoff t);
+        (t.io_errors, (Log.stats t.log).Log.io_retries, disk_busy_ns t));
+    closed =
+      (fun tok t _ req (f0, r0, dev0) resp ->
+        Rpc.trace_response tok req resp;
+        Trace.add_faults tok (t.io_errors - f0);
+        Trace.add_retries tok ((Log.stats t.log).Log.io_retries - r0);
+        Trace.set_disk_ns tok (Int64.sub (disk_busy_ns t) dev0));
+  }
+
+let handle t cred req =
+  Trace.span Trace.Drive probe ~kind:(Rpc.op_name req)
+    (fun t (cred : Rpc.credential) req ->
+      t.ops <- t.ops + 1;
+      Simclock.advance (clock t) (Simclock.of_us t.cfg.cpu_us_per_rpc);
+      (* DoS defence: penalise clients abusing the history pool. *)
+      (match t.throttle with
+       | Some th ->
+         let p = Throttle.penalty th ~client:cred.Rpc.client in
+         if Int64.compare p 0L > 0 then Simclock.advance (clock t) p
+       | None -> ());
+      (* Transient faults are retried inside the log (Log.set_io_retry);
+         what reaches this perimeter is permanent (or out of retries)
+         and is surfaced as a clean R_error. Fault.Crashed is
+         deliberately NOT caught: a crashed device has no valid
+         in-memory state left, so the owner must discard this drive
+         and reattach. *)
+      let oid = Rpc.target_oid req in
+      let resp =
+        if Int64.compare oid 0L < 0 then Rpc.R_error (Rpc.Bad_request "negative oid")
+        else
+          try exec t cred req with
+          | Denied -> Rpc.R_error Rpc.Permission_denied
+          | Store.No_such_object _ -> Rpc.R_error Rpc.Not_found
+          | Store.Is_deleted _ -> Rpc.R_error Rpc.Object_deleted
+          | Log.Log_full -> Rpc.R_error Rpc.No_space
+          | Invalid_argument m -> Rpc.R_error (Rpc.Bad_request m)
+          | Fault.Read_fault { lba; transient } -> Rpc.R_error (io_error t lba transient "read")
+          | Fault.Write_fault { lba; transient } -> Rpc.R_error (io_error t lba transient "write")
+      in
+      let ok = match resp with Rpc.R_error _ -> false | _ -> true in
+      (* A media fault while persisting the audit trail must not take
+         the whole drive down; count the loss and keep serving
+         (degraded). A negative oid is recorded as naming no object;
+         the request's own rendering in [info] still shows it. *)
+      (try
+         Audit.append t.audit
+           {
+             Audit.at = now t;
+             user = cred.Rpc.user;
+             client = cred.Rpc.client;
+             op = Rpc.op_name req;
+             oid = (if Int64.compare oid 0L < 0 then 0L else oid);
+             info = Rpc.op_info req;
+             ok;
+           }
+       with Fault.Read_fault _ | Fault.Write_fault _ -> t.audit_drops <- t.audit_drops + 1);
+      if t.ops land 1023 = 0 then refresh_pressure t;
+      resp)
+    t cred req
 
 let barrier t =
-  (* The durability barrier, shared by single-request [sync] and batch
-     group commit: audit records buffered so far must survive a crash
-     once the barrier returns (the audit-at-Sync invariant), then the
-     store itself is made stable. A media fault or a full log here
-     means the caller must not be told its mutations are durable; a
-     full log answers [No_space], as an explicit [Sync] does. *)
-  let io_failed lba transient kind =
-    t.io_errors <- t.io_errors + 1;
-    Some
-      (Rpc.Io_error
-         (Printf.sprintf "%s fault at lba %d%s" kind lba
-            (if transient then " (retries exhausted)" else "")))
-  in
+  (* The durability barrier a batch pays once, after its last request
+     (group commit): audit records buffered so far must survive a
+     crash once the barrier returns (the audit-at-Sync invariant),
+     then the store itself is made stable. A media fault or a full log
+     here means the caller must not be told its mutations are durable;
+     a full log answers [No_space], as an explicit [Sync] does. *)
   try
     Audit.flush t.audit;
     if t.cfg.integrity then Audit.seal t.audit;
@@ -458,62 +471,15 @@ let barrier t =
     None
   with
   | Log.Log_full -> Some Rpc.No_space
-  | Fault.Read_fault { lba; transient } -> io_failed lba transient "sync read"
-  | Fault.Write_fault { lba; transient } -> io_failed lba transient "sync write"
-
-let handle_one t (cred : Rpc.credential) req =
-  if not (Trace.on ()) then handle_inner t cred req
-  else begin
-    let disk = Log.disk t.log in
-    let dev0 =
-      Int64.add (Sim_disk.stats disk).Sim_disk.busy_ns (Sim_disk.phantom_ns disk)
-    in
-    let f0 = t.io_errors and r0 = (Log.stats t.log).Log.io_retries in
-    let tok = Trace.enter Trace.Drive ~kind:(Rpc.op_name req) ~now:(now t) in
-    Trace.set_oid tok (oid_of_req req);
-    (match req with
-     | Rpc.Read { at = Some at; _ } | Rpc.Get_attr { at = Some at; _ }
-     | Rpc.Get_acl_by_user { at = Some at; _ } | Rpc.Get_acl_by_index { at = Some at; _ } ->
-       Trace.set_at tok at
-     | _ -> ());
-    Trace.set_cutoff tok (detection_cutoff t);
-    let fin () =
-      Trace.add_faults tok (t.io_errors - f0);
-      Trace.add_retries tok ((Log.stats t.log).Log.io_retries - r0);
-      let dev1 =
-        Int64.add (Sim_disk.stats disk).Sim_disk.busy_ns (Sim_disk.phantom_ns disk)
-      in
-      Trace.set_disk_ns tok (Int64.sub dev1 dev0)
-    in
-    match handle_inner t cred req with
-    | resp ->
-      (match resp with
-       | Rpc.R_oid oid -> Trace.set_oid tok oid  (* Create learns its oid here *)
-       | Rpc.R_data b -> Trace.set_bytes tok (Bytes.length b)
-       | Rpc.R_error e -> Trace.fail tok (Rpc.err_tag e)
-       | _ -> ());
-      (match req with
-       | Rpc.Write { len; _ } | Rpc.Append { len; _ } -> Trace.set_bytes tok len
-       | _ -> ());
-      fin ();
-      Trace.finish tok ~now:(now t);
-      resp
-    | exception e ->
-      (* Fault.Crashed and friends: the span is aborted, not lost. *)
-      fin ();
-      Trace.abort tok ~now:(now t);
-      raise e
-  end
+  | Fault.Read_fault { lba; transient } -> Some (io_error t lba transient "sync read")
+  | Fault.Write_fault { lba; transient } -> Some (io_error t lba transient "sync write")
 
 let submit t (cred : Rpc.credential) ?(sync = false) reqs =
   (* The vectored entry point: every request runs with full
      per-request semantics (throttle, ACL, audit record, trace span),
      in array order; the durability barrier is paid once, after the
      last request (group commit, see [Backend.group_commit]). *)
-  Backend.group_commit ~sync barrier t (Array.map (fun req -> handle_one t cred req) reqs)
-
-let handle t (cred : Rpc.credential) ?(sync = false) req =
-  (submit t cred ~sync [| req |]).(0)
+  Backend.group_commit ~sync barrier t (Array.map (fun req -> handle t cred req) reqs)
 
 let capacity t =
   let log = t.log in

@@ -66,8 +66,11 @@ val submit : t -> Rpc.credential -> ?sync:bool -> Rpc.req array -> Rpc.resp arra
     crashed device has no valid in-memory state, the owner must
     {!attach} a fresh drive. *)
 
-val handle : t -> Rpc.credential -> ?sync:bool -> Rpc.req -> Rpc.resp
-(** [submit] of a one-element batch (compatibility shim). *)
+val handle : t -> Rpc.credential -> Rpc.req -> Rpc.resp
+(** Run one request with the same per-request treatment, and pay no
+    durability barrier: barriers come only from {!submit} [~sync:true]
+    or an explicit [Sync] request. A request naming a negative oid
+    answers [Bad_request] and is audited as naming no object. *)
 
 val barrier : t -> Rpc.error option
 (** The durability barrier on its own: flush buffered audit records,

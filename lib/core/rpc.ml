@@ -98,6 +98,24 @@ let op_info = function
     | None -> ""
     | Some h -> Printf.sprintf "from=%d/%d" h.S4_integrity.Chain.epoch h.S4_integrity.Chain.records)
 
+let target_oid = function
+  | Delete { oid }
+  | Read { oid; _ }
+  | Write { oid; _ }
+  | Append { oid; _ }
+  | Truncate { oid; _ }
+  | Get_attr { oid; _ }
+  | Set_attr { oid; _ }
+  | Get_acl_by_user { oid; _ }
+  | Get_acl_by_index { oid; _ }
+  | Set_acl { oid; _ }
+  | Flush_object { oid; _ }
+  | P_create { oid; _ } ->
+    oid
+  | Create _ | P_delete _ | P_list _ | P_mount _ | Sync | Flush _ | Set_window _ | Read_audit _
+  | Verify_log _ ->
+    0L
+
 let is_mutation = function
   | Create _ | Delete _ | Write _ | Append _ | Truncate _ | Set_attr _ | Set_acl _ | P_create _
   | P_delete _ | Sync | Flush _ | Flush_object _ | Set_window _ ->
@@ -171,6 +189,21 @@ let err_tag : error -> string = function
   | Io_error _ -> "io_error"
 
 let error_to_string e = Format.asprintf "%a" pp_error e
+
+(* The span fields every RPC-level layer (drive, shard router) records. *)
+let trace_request tok req = S4_obs.Trace.set_oid tok (target_oid req)
+
+let trace_response tok req = function
+  | None -> ()
+  | Some resp ->
+    (match resp with
+     | R_oid oid -> S4_obs.Trace.set_oid tok oid  (* Create learns its oid here *)
+     | R_data b -> S4_obs.Trace.set_bytes tok (Bytes.length b)
+     | R_error e -> S4_obs.Trace.fail tok (err_tag e)
+     | _ -> ());
+    (match req with
+     | Write { len; _ } | Append { len; _ } -> S4_obs.Trace.set_bytes tok len
+     | _ -> ())
 
 let pp_resp ppf = function
   | R_unit -> Format.fprintf ppf "ok"

@@ -71,6 +71,16 @@ val op_name : req -> string
 val op_info : req -> string
 (** Compact argument rendering for audit records. *)
 
+val target_oid : req -> int64
+(** The object a request names; [0L] when it names none. Audit records
+    and the RPC-level trace spans both carry it. *)
+
+val trace_request : int -> req -> unit
+val trace_response : int -> req -> resp option -> unit
+(** The span fields every RPC-level layer (drive, shard router) records:
+    the target oid on entry; on return the allocated oid, the bytes
+    read or written and the error tag. [None] means the call raised. *)
+
 val is_mutation : req -> bool
 (** Whether the request changes drive state (and thus must reach every
     replica of a mirrored pair, or be journalled for a lagging one).

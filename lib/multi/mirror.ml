@@ -16,7 +16,7 @@ type t = {
   (* Newest first. The [int64 option] is the oid the live replica
      resolved for a [Create]: replay must target that oid, not mint a
      fresh one from whatever allocator the target runs. *)
-  mutable missed : (Rpc.credential * bool * Rpc.req * int64 option) list;
+  mutable missed : (Rpc.credential * Rpc.req * int64 option) list;
   mutable lagging : replica option;  (* who the missed mutations are for *)
   mutable read_policy : read_policy;
   mutable rr_next : replica;  (* next balanced read goes here *)
@@ -94,7 +94,7 @@ let refresh_missed_index t =
   Hashtbl.reset t.missed_oids;
   t.missed_namespace <- false;
   t.missed_global <- false;
-  List.iter (fun (_, _, req, resolved) -> index_missed_req t req resolved) t.missed
+  List.iter (fun (_, req, resolved) -> index_missed_req t req resolved) t.missed
 
 (* Reads eligible for replica balancing. Audit-trail reads are not:
    each replica audits only the reads it served, so [Read_audit] and
@@ -142,10 +142,10 @@ let served_read_ops =
    (both logs are chronological; so is the merge). The peer is
    consulted directly — a forensic sweep of its log is not a balanced
    data read and does not move the read counters. *)
-let merge_read_audit t cred sync req ~target resp =
+let merge_read_audit t cred req ~target resp =
   match (req, resp) with
   | Rpc.Read_audit _, Rpc.R_audit auth_recs when not (is_failed t (other target)) -> (
-    match Drive.handle (drive t (other target)) cred ~sync req with
+    match Drive.handle (drive t (other target)) cred req with
     | Rpc.R_audit peer_recs ->
       let extra =
         List.filter (fun r -> List.mem r.Audit.op served_read_ops) peer_recs
@@ -157,46 +157,46 @@ let merge_read_audit t cred sync req ~target resp =
 
 (* Journal a mutation the [lagger] missed, keyed to the oid the live
    replica resolved (so a missed [Create] replays onto the same id). *)
-let journal t lagger cred sync req resp =
+let journal t lagger cred req resp =
   let oid = match resp with Rpc.R_oid g -> Some g | _ -> None in
   t.lagging <- Some lagger;
-  t.missed <- (cred, sync, req, oid) :: t.missed;
+  t.missed <- (cred, req, oid) :: t.missed;
   index_missed_req t req oid
 
-let handle t cred ?(sync = false) req =
+let handle t cred req =
   if is_mutation req then begin
     match (t.primary_failed, t.secondary_failed) with
     | true, true -> Rpc.R_error (Rpc.Bad_request "mirror: no live replica")
     | false, false ->
-      let r1 = Drive.handle t.primary cred ~sync req in
-      let r2 = Drive.handle t.secondary cred ~sync req in
+      let r1 = Drive.handle t.primary cred req in
+      let r2 = Drive.handle t.secondary cred req in
       if agree r1 r2 then r1
       else if is_io_error r1 && not (is_io_error r2) then begin
         (* Primary media fault: fail it over and keep serving from the
            secondary, journalling the op the primary just missed. *)
         t.primary_failed <- true;
-        journal t Primary cred sync req r2;
+        journal t Primary cred req r2;
         r2
       end
       else if is_io_error r2 && not (is_io_error r1) then begin
         t.secondary_failed <- true;
-        journal t Secondary cred sync req r1;
+        journal t Secondary cred req r1;
         r1
       end
       else begin
         (* Split brain: drop the secondary and flag the request. The
            primary applied the op, so its response keys the journal. *)
         t.secondary_failed <- true;
-        journal t Secondary cred sync req r1;
+        journal t Secondary cred req r1;
         Rpc.R_error (Rpc.Bad_request "mirror: replica divergence detected")
       end
     | false, true ->
-      let r = Drive.handle t.primary cred ~sync req in
-      journal t Secondary cred sync req r;
+      let r = Drive.handle t.primary cred req in
+      journal t Secondary cred req r;
       r
     | true, false ->
-      let r = Drive.handle t.secondary cred ~sync req in
-      journal t Primary cred sync req r;
+      let r = Drive.handle t.secondary cred req in
+      journal t Primary cred req r;
       r
   end
   else begin
@@ -204,7 +204,7 @@ let handle t cred ?(sync = false) req =
       (match r with
        | Primary -> t.primary_reads <- t.primary_reads + 1
        | Secondary -> t.secondary_reads <- t.secondary_reads + 1);
-      Drive.handle (drive t r) cred ~sync req
+      Drive.handle (drive t r) cred req
     in
     (* A lone live replica that happens to be the lagging one (repair
        without resync, then the peer died) must not silently answer a
@@ -243,7 +243,7 @@ let handle t cred ?(sync = false) req =
         if t.lagging = Some survivor && t.missed <> [] && read_is_stale t req then resp
         else serve survivor
       end
-      else merge_read_audit t cred sync req ~target resp
+      else merge_read_audit t cred req ~target resp
     | false, true -> serve_sole Primary
     | true, false -> serve_sole Secondary
     | true, true -> Rpc.R_error (Rpc.Bad_request "mirror: no live replica")
@@ -276,7 +276,7 @@ let barrier t =
 
 let submit t cred ?(sync = false) reqs =
   S4.Backend.group_commit ~sync barrier t
-    (Array.map (fun req -> handle t cred ~sync:false req) reqs)
+    (Array.map (fun req -> handle t cred req) reqs)
 
 let resync t =
   if t.primary_failed && t.secondary_failed then Error "mirror: no live replica to resync from"
@@ -294,8 +294,8 @@ let resync t =
           t.lagging <- None;
           refresh_missed_index t;
           Ok n
-        | (cred, sync, req, oid) :: rest as remaining ->
-          let run () = Drive.handle target cred ~sync req in
+        | (cred, req, oid) :: rest as remaining ->
+          let run () = Drive.handle target cred req in
           let resp =
             match (req, oid) with
             | Rpc.Create _, Some g ->

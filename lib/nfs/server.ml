@@ -16,38 +16,9 @@ let of_translator ~name tr =
     reset_caches = (fun () -> Translator.invalidate_caches tr);
   }
 
-(* NFSv2-over-UDP message sizes: exact XDR encoding plus UDP/IP/
-   Ethernet framing. *)
+(* NFSv2-over-UDP framing (UDP/IP/Ethernet) around the exact XDR
+   encoding. *)
 let framing = 42
-let header = 100
-
-let nfs_req_bytes = function
-  | N.Getattr _ -> header + 32
-  | N.Setattr _ -> header + 64
-  | N.Lookup { name; _ } -> header + 32 + String.length name
-  | N.Readlink _ -> header + 32
-  | N.Read _ -> header + 48
-  | N.Write { data; _ } -> header + 48 + Bytes.length data
-  | N.Create { name; _ } -> header + 64 + String.length name
-  | N.Remove { name; _ } -> header + 32 + String.length name
-  | N.Rename { from_name; to_name; _ } ->
-    header + 64 + String.length from_name + String.length to_name
-  | N.Mkdir { name; _ } -> header + 64 + String.length name
-  | N.Rmdir { name; _ } -> header + 32 + String.length name
-  | N.Readdir _ -> header + 40
-  | N.Symlink { name; target; _ } -> header + 64 + String.length name + String.length target
-  | N.Statfs -> header
-
-let nfs_resp_bytes = function
-  | N.R_attr _ -> header + 68
-  | N.R_fh _ -> header + 100
-  | N.R_data b -> header + Bytes.length b
-  | N.R_entries entries ->
-    header + List.fold_left (fun acc e -> acc + 24 + String.length e.N.name) 0 entries
-  | N.R_link s -> header + String.length s
-  | N.R_unit -> header
-  | N.R_statfs _ -> header + 20
-  | N.R_error _ -> header + 4
 
 let over_net net t =
   {
@@ -59,6 +30,17 @@ let over_net net t =
           ~req_bytes:(framing + Xdr.req_wire_bytes req)
           ~resp_bytes:(framing + Xdr.resp_wire_bytes resp);
         resp);
+  }
+
+let loopback_us = 400.0
+
+let over_loopback clock t =
+  {
+    t with
+    handle =
+      (fun req ->
+        S4_util.Simclock.advance clock (S4_util.Simclock.of_us loopback_us);
+        t.handle req);
   }
 
 let handle_exn t req =

@@ -19,10 +19,10 @@ val over_net : S4_disk.Net.t -> t -> t
     wire time (used when the translator lives server-side, Fig. 1b,
     and for the kernel-NFS comparison servers). *)
 
-val nfs_req_bytes : Nfs_types.req -> int
-val nfs_resp_bytes : Nfs_types.resp -> int
-(** Quick size estimates; {!over_net} itself uses the exact
-    {!Xdr} encoding. *)
+val over_loopback : S4_util.Simclock.t -> t -> t
+(** The Fig. 1a client-side hop: every NFS request first pays the
+    loopback path from the application to a user-level translator
+    (kernel NFS client, UDP loopback, daemon wakeup), 400 us. *)
 
 val handle_exn : t -> Nfs_types.req -> Nfs_types.resp
 (** Raises [Failure] on [R_error]; for tests and workload setup. *)

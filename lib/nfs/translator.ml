@@ -1,35 +1,18 @@
 module Rpc = S4.Rpc
-module Drive = S4.Drive
-module Client = S4.Client
 module Backend = S4.Backend
 module N = Nfs_types
 module Trace = S4_obs.Trace
 
-type transport =
-  | Local of Drive.t
-  | Remote of Client.t
-  | Backend of Backend.t
-
-(* Every transport normalizes to the one vectored backend surface; the
-   constructors only exist so callers can hand over a raw drive or
-   simulated client without building the record themselves. *)
-let backend_of = function
-  | Local d -> Drive.backend d
-  | Remote c -> Client.backend c
-  | Backend b -> b
+type transport = Backend of Backend.t
 
 (* Cached directory image: occupied slots and the slot-array length. *)
 type dircache = { mutable dents : (N.dirent * int) list; mutable nslots : int }
 
 (* Client-daemon processing cost per S4 RPC it issues (user-level
-   translation, marshalling), and the loopback-NFS hop each request
-   pays in the Fig. 1a configuration (app -> kernel NFS client -> UDP
-   loopback -> user-level daemon). *)
+   translation, marshalling). *)
 let daemon_cpu_us = 250.0
-let loopback_us = 400.0
 
 type t = {
-  transport : transport;
   backend : Backend.t;
   cred : Rpc.credential;
   root : N.fh;
@@ -164,8 +147,7 @@ let invalidate t fh =
 (* ------------------------------------------------------------------ *)
 (* Mount                                                               *)
 
-let mount ?(partition = "root") ?(cred = Rpc.user_cred ~user:1 ~client:1) transport =
-  let backend = backend_of transport in
+let mount ?(partition = "root") ?(cred = Rpc.user_cred ~user:1 ~client:1) (Backend backend) =
   let call ?sync req = lift (Backend.handle backend cred ?sync req) in
   let root =
     match Backend.handle backend cred (Rpc.P_mount { name = partition; at = None }) with
@@ -180,7 +162,6 @@ let mount ?(partition = "root") ?(cred = Rpc.user_cred ~user:1 ~client:1) transp
     | _ -> fail (N.Eio "mount failed")
   in
   {
-    transport;
     backend;
     cred;
     root;
@@ -192,7 +173,6 @@ let mount ?(partition = "root") ?(cred = Rpc.user_cred ~user:1 ~client:1) transp
   }
 
 let root t = t.root
-let transport t = t.transport
 let cred t = t.cred
 let rpc_count t = t.rpcs
 let attr_cache_stats t = (t.attr_hits, t.attr_misses)
@@ -209,7 +189,7 @@ let invalidate_caches t =
 
 let find_entry entries name = List.find_opt (fun e -> e.N.name = name) entries
 
-let create_object t ftype ~mode ~sync_last:_ =
+let create_object t ftype ~mode =
   let oid = expect_oid (call t (Rpc.Create { acl = [] })) in
   let attr = { (N.fresh_attr ftype ~uid:t.cred.Rpc.user ~now:(now t)) with N.mode } in
   set_attr t oid attr;
@@ -217,7 +197,7 @@ let create_object t ftype ~mode ~sync_last:_ =
 
 let do_create t ~dir ~name ~mode ~ftype =
   (match find_entry (read_dir t dir) name with Some _ -> fail N.Eexist | None -> ());
-  let fh, attr = create_object t ftype ~mode ~sync_last:false in
+  let fh, attr = create_object t ftype ~mode in
   add_entry t ~sync:true dir { N.name; fh };
   (fh, attr)
 
@@ -299,7 +279,7 @@ let do_rename t ~from_dir ~from_name ~to_dir ~to_name =
 let do_symlink t ~dir ~name ~target =
   let entries = read_dir t dir in
   (match find_entry entries name with Some _ -> fail N.Eexist | None -> ());
-  let fh, attr = create_object t N.Flnk ~mode:0o777 ~sync_last:false in
+  let fh, attr = create_object t N.Flnk ~mode:0o777 in
   let data = Bytes.of_string target in
   expect_unit (call t (Rpc.Write { oid = fh; off = 0; len = Bytes.length data; data = Some data }));
   set_attr t fh { attr with N.size = Bytes.length data };
@@ -335,82 +315,78 @@ let nfs_err_tag : N.error -> string = function
   | N.Enospc -> "no_space"
   | N.Eio _ -> "io_error"
 
-let handle_inner t req =
-  (match t.transport with
-   | Remote _ -> S4_util.Simclock.advance (clock_of t) (S4_util.Simclock.of_us loopback_us)
-   | Local _ | Backend _ -> ());
-  try
-    match req with
-    | N.Getattr fh -> N.R_attr (get_attr t fh)
-    | N.Setattr { fh; mode; size } -> N.R_attr (do_setattr t fh mode size)
-    | N.Lookup { dir; name } ->
-      (match find_entry (read_dir t dir) name with
-       | Some { N.fh; _ } -> N.R_fh (fh, get_attr t fh)
-       | None -> N.R_error N.Enoent)
-    | N.Readlink fh ->
-      let attr = get_attr t fh in
-      if attr.N.ftype <> N.Flnk then N.R_error (N.Eio "not a symlink")
-      else
-        N.R_link
-          (Bytes.to_string (expect_data (call t (Rpc.Read { oid = fh; off = 0; len = attr.N.size; at = None }))))
-    | N.Read { fh; off; len } ->
-      let attr = get_attr t fh in
-      if attr.N.ftype = N.Fdir then N.R_error N.Eisdir
-      else N.R_data (expect_data (call t (Rpc.Read { oid = fh; off; len; at = None })))
-    | N.Write { fh; off; data } -> N.R_attr (do_write t fh off data)
-    | N.Create { dir; name; mode } ->
-      let fh, attr = do_create t ~dir ~name ~mode ~ftype:N.Freg in
-      N.R_fh (fh, attr)
-    | N.Remove { dir; name } ->
-      do_remove t ~dir ~name ~want_dir:false;
-      N.R_unit
-    | N.Rename { from_dir; from_name; to_dir; to_name } ->
-      do_rename t ~from_dir ~from_name ~to_dir ~to_name;
-      N.R_unit
-    | N.Mkdir { dir; name; mode } ->
-      let fh, attr = do_create t ~dir ~name ~mode ~ftype:N.Fdir in
-      N.R_fh (fh, attr)
-    | N.Rmdir { dir; name } ->
-      do_remove t ~dir ~name ~want_dir:true;
-      N.R_unit
-    | N.Readdir fh -> N.R_entries (read_dir t fh)
-    | N.Symlink { dir; name; target } ->
-      do_symlink t ~dir ~name ~target;
-      N.R_unit
-    | N.Statfs -> statfs t
-  with
-  | Err e -> N.R_error e
-  | Invalid_argument m -> N.R_error (N.Eio m)
+(* The translator's span fields: the file handle a request names, the
+   bytes it moves, its error tag, and the attribute-cache hits and
+   misses it caused. *)
+let probe =
+  {
+    Trace.clock = clock_of;
+    opened =
+      (fun tok t () req ->
+        (match req with
+         | N.Getattr fh | N.Setattr { fh; _ } | N.Readlink fh | N.Read { fh; _ }
+         | N.Write { fh; _ } | N.Readdir fh ->
+           Trace.set_oid tok fh
+         | _ -> ());
+        (t.attr_hits, t.attr_misses));
+    closed =
+      (fun tok t () req (h0, m0) resp ->
+        (match resp with
+         | Some (N.R_data b) -> Trace.set_bytes tok (Bytes.length b)
+         | Some (N.R_error e) -> Trace.fail tok (nfs_err_tag e)
+         | _ -> ());
+        (match (req, resp) with
+         | N.Write { data; _ }, Some _ -> Trace.set_bytes tok (Bytes.length data)
+         | _ -> ());
+        Trace.add_cache tok ~hits:(t.attr_hits - h0) ~misses:(t.attr_misses - m0));
+  }
 
 let handle t req =
-  if not (Trace.on ()) then handle_inner t req
-  else begin
-    let now () = S4_util.Simclock.now (clock_of t) in
-    let h0 = t.attr_hits and m0 = t.attr_misses in
-    let tok = Trace.enter Trace.Nfs ~kind:(nfs_kind req) ~now:(now ()) in
-    (match req with
-     | N.Getattr fh | N.Setattr { fh; _ } | N.Readlink fh | N.Read { fh; _ }
-     | N.Write { fh; _ } | N.Readdir fh ->
-       Trace.set_oid tok fh
-     | _ -> ());
-    let fin () = Trace.add_cache tok ~hits:(t.attr_hits - h0) ~misses:(t.attr_misses - m0) in
-    match handle_inner t req with
-    | resp ->
-      (match resp with
-       | N.R_data b -> Trace.set_bytes tok (Bytes.length b)
-       | N.R_error e -> Trace.fail tok (nfs_err_tag e)
-       | _ -> ());
-      (match req with
-       | N.Write { data; _ } -> Trace.set_bytes tok (Bytes.length data)
-       | _ -> ());
-      fin ();
-      Trace.finish tok ~now:(now ());
-      resp
-    | exception e ->
-      fin ();
-      Trace.abort tok ~now:(now ());
-      raise e
-  end
+  Trace.span Trace.Nfs probe ~kind:(nfs_kind req)
+    (fun t () req ->
+      try
+        match req with
+        | N.Getattr fh -> N.R_attr (get_attr t fh)
+        | N.Setattr { fh; mode; size } -> N.R_attr (do_setattr t fh mode size)
+        | N.Lookup { dir; name } ->
+          (match find_entry (read_dir t dir) name with
+           | Some { N.fh; _ } -> N.R_fh (fh, get_attr t fh)
+           | None -> N.R_error N.Enoent)
+        | N.Readlink fh ->
+          let attr = get_attr t fh in
+          if attr.N.ftype <> N.Flnk then N.R_error (N.Eio "not a symlink")
+          else
+            N.R_link
+              (Bytes.to_string (expect_data (call t (Rpc.Read { oid = fh; off = 0; len = attr.N.size; at = None }))))
+        | N.Read { fh; off; len } ->
+          let attr = get_attr t fh in
+          if attr.N.ftype = N.Fdir then N.R_error N.Eisdir
+          else N.R_data (expect_data (call t (Rpc.Read { oid = fh; off; len; at = None })))
+        | N.Write { fh; off; data } -> N.R_attr (do_write t fh off data)
+        | N.Create { dir; name; mode } ->
+          let fh, attr = do_create t ~dir ~name ~mode ~ftype:N.Freg in
+          N.R_fh (fh, attr)
+        | N.Remove { dir; name } ->
+          do_remove t ~dir ~name ~want_dir:false;
+          N.R_unit
+        | N.Rename { from_dir; from_name; to_dir; to_name } ->
+          do_rename t ~from_dir ~from_name ~to_dir ~to_name;
+          N.R_unit
+        | N.Mkdir { dir; name; mode } ->
+          let fh, attr = do_create t ~dir ~name ~mode ~ftype:N.Fdir in
+          N.R_fh (fh, attr)
+        | N.Rmdir { dir; name } ->
+          do_remove t ~dir ~name ~want_dir:true;
+          N.R_unit
+        | N.Readdir fh -> N.R_entries (read_dir t fh)
+        | N.Symlink { dir; name; target } ->
+          do_symlink t ~dir ~name ~target;
+          N.R_unit
+        | N.Statfs -> statfs t
+      with
+      | Err e -> N.R_error e
+      | Invalid_argument m -> N.R_error (N.Eio m))
+    t () req
 
 (* ------------------------------------------------------------------ *)
 (* Path helpers                                                        *)
@@ -530,7 +506,7 @@ let write_files t files =
                   if a.N.ftype = N.Fdir then fail N.Eisdir;
                   (fh, a, false)
                 | None ->
-                  let fh, a = create_object t N.Freg ~mode:0o644 ~sync_last:false in
+                  let fh, a = create_object t N.Freg ~mode:0o644 in
                   add_entry t ~sync:false dir { N.name = base; fh };
                   (fh, a, true)
               in

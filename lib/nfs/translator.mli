@@ -5,26 +5,26 @@
     objects hold data, and the NFSv2 attribute structure lives in each
     object's opaque attribute space. NFS file handles are ObjectIDs.
 
-    Two deployments, per Figure 1 of the paper:
-    - {b Remote} (Fig. 1a): the translator runs on the client machine
-      as a user-level loopback NFS server and talks S4 RPC over the
-      network to a network-attached drive.
-    - {b Local} (Fig. 1b): the translator is linked into the storage
-      server, forming an S4-enhanced NFS server; NFS itself then
-      crosses the network (see {!Server}).
+    The translator always talks to one {!S4.Backend.t}; the two
+    deployments of the paper's Figure 1 differ only in what surrounds
+    it:
+    - Fig. 1a: the translator runs on the client machine as a
+      user-level loopback NFS server, and S4 RPCs cross the network to
+      a network-attached drive. The backend is wrapped in
+      {!S4.Backend.over_net}, the server in {!Server.over_loopback}.
+    - Fig. 1b: the translator is linked into the storage server,
+      forming an S4-enhanced NFS server; NFS itself then crosses the
+      network ({!Server.over_net}).
 
     To honour NFSv2 stability, every modifying operation ends with a
     drive sync, batched onto the final S4 RPC of the operation. The
     translator keeps read-only attribute and directory caches. *)
 
 type transport =
-  | Local of S4.Drive.t
-  | Remote of S4.Client.t
   | Backend of S4.Backend.t
-      (** any producer of the uniform vectored surface — a shard
-          router, a networked client, a mirrored pair. (This replaces
-          the translator-private [backend] record: one
-          {!S4.Backend.t} now serves every consumer.) *)
+      (** any producer of the uniform vectored surface: a drive, a
+          shard router, a wire client, a backend behind the modelled
+          network *)
 
 type t
 
@@ -35,7 +35,6 @@ val mount :
     creating the root object and partition entry on first use. *)
 
 val root : t -> Nfs_types.fh
-val transport : t -> transport
 val cred : t -> S4.Rpc.credential
 
 val handle : t -> Nfs_types.req -> Nfs_types.resp

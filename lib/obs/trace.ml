@@ -274,3 +274,30 @@ let pp_tree ppf sp =
   Array.iter
     (fun s -> Format.fprintf ppf "%s%a@." (String.make (2 * depth.(s.id)) ' ') pp_span s)
     sp
+
+(* The one span skeleton: every layer's traced entry point is [f]
+   wrapped here, with the layer's own fields supplied by [p]'s hooks.
+   The untraced path is a plain call of [f]; [f] and the hooks are
+   closed functions, so it allocates nothing. *)
+type ('c, 'a, 'r, 'v, 's) probe = {
+  clock : 'c -> S4_util.Simclock.t;
+  opened : int -> 'c -> 'a -> 'r -> 's;
+  closed : int -> 'c -> 'a -> 'r -> 's -> 'v option -> unit;
+}
+
+let span layer p ~kind f c a r =
+  if not (on ()) then f c a r
+  else begin
+    let clock = p.clock c in
+    let tok = enter layer ~kind ~now:(S4_util.Simclock.now clock) in
+    let s = p.opened tok c a r in
+    match f c a r with
+    | v ->
+      p.closed tok c a r s (Some v);
+      finish tok ~now:(S4_util.Simclock.now clock);
+      v
+    | exception e ->
+      p.closed tok c a r s None;
+      abort tok ~now:(S4_util.Simclock.now clock);
+      raise e
+  end

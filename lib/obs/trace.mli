@@ -6,16 +6,18 @@
     the NFS translator down to individual disk transfers. All times
     are simulated nanoseconds read from the layer's {!S4_util.Simclock}.
 
-    {b Zero allocation when disabled.} Instrumented code must guard
-    every hook on {!on} — [if Trace.on () then ...] — and hold the
-    returned token in an [int]. When tracing is off, {!on} is a single
-    mutable-bool read, no token is minted, and every setter is a no-op
-    on {!null}; the traced and untraced executions are identical (the
-    equivalence suite proves this bit-for-bit and clock-for-clock).
+    {b Zero allocation when disabled.} A layer opens its spans through
+    {!span}, which checks {!on} once per call; other instrumentation
+    guards its hooks on {!on} itself and holds tokens in an [int].
+    When tracing is off, {!on} is a single atomic read, no token is
+    minted, and every setter is a no-op on {!null}; the traced and
+    untraced executions are identical (the equivalence suite proves
+    this bit-for-bit and clock-for-clock).
 
-    {b Observationally free.} No function in this module reads or
-    advances a clock, touches a disk, or mutates anything outside the
-    tracer's own buffers; callers pass [~now] in explicitly.
+    {b Observationally free.} No function in this module advances a
+    clock, touches a disk, or mutates anything outside the tracer's own
+    buffers. Only {!span} reads a clock, and only while tracing is on;
+    every other entry point takes [~now] from its caller.
 
     {b Domain-safe.} Span allocation and snapshots are serialized on a
     registry mutex; each domain keeps its own open-span stack in
@@ -116,6 +118,39 @@ val add_charged : int -> int64 -> unit
 val set_disk_ns : int -> int64 -> unit
 val fail : int -> string -> unit
 (** Mark the span failed with an error tag (e.g. ["not_found"]). *)
+
+(** {1 Spans around a call}
+
+    The NFS translator, router, drive, object store and segment log
+    open their spans through {!span}; a layer states only its own
+    fields, in a {!probe}. *)
+
+type ('c, 'a, 'r, 'v, 's) probe = {
+  clock : 'c -> S4_util.Simclock.t;  (** the clock the span's times come from *)
+  opened : int -> 'c -> 'a -> 'r -> 's;
+      (** right after the span opens: sets the fields known on entry,
+          snapshots the counters [closed] takes deltas of *)
+  closed : int -> 'c -> 'a -> 'r -> 's -> 'v option -> unit;
+      (** on every exit, before the span closes: counter deltas, and
+          the result's fields ([None] when the call raised) *)
+}
+
+val span :
+  layer ->
+  ('c, 'a, 'r, 'v, 's) probe ->
+  kind:string ->
+  ('c -> 'a -> 'r -> 'v) ->
+  'c ->
+  'a ->
+  'r ->
+  'v
+(** [span layer p ~kind f c a r] is [f c a r] inside one [layer] span
+    named [kind]; the hooks see the same arguments (typically the
+    layer's state, a credential or operand, and the request). The span
+    is finished when [f] returns and aborted, then the exception
+    re-raised, when it raises. With tracing off it is exactly
+    [f c a r]: no clock read, no hook, and no allocation as long as [f]
+    and the hooks are closed functions. *)
 
 (** {1 Rendering} *)
 

@@ -280,36 +280,36 @@ let close_segment t =
   sg.state <- Closed;
   open_segment_exn t
 
-(* Span wrapper for the log's public entry points. Guarded on
-   [Trace.on] so the untraced path allocates nothing; retries absorbed
-   by [with_retry] during the op are charged to the span. *)
-let traced t kind ~bytes f =
-  if not (Trace.on ()) then f ()
-  else begin
-    let r0 = t.s.io_retries in
-    let tok = Trace.enter Trace.Seglog ~kind ~now:(Simclock.now (clock t)) in
-    Trace.set_bytes tok bytes;
-    match f () with
-    | v ->
-      Trace.add_retries tok (t.s.io_retries - r0);
-      Trace.finish tok ~now:(Simclock.now (clock t));
-      v
-    | exception e ->
-      Trace.add_retries tok (t.s.io_retries - r0);
-      Trace.abort tok ~now:(Simclock.now (clock t));
-      raise e
-  end
+(* The log's span fields: the bytes an operation moves, and the
+   transient-fault retries [with_retry] absorbed during it. *)
+let probe =
+  {
+    Trace.clock;
+    opened =
+      (fun tok t _ bytes ->
+        Trace.set_bytes tok bytes;
+        t.s.io_retries);
+    closed = (fun tok t _ _ r0 _ -> Trace.add_retries tok (t.s.io_retries - r0));
+  }
+
+let run _ f _ = f ()
+
+(* A public entry point's body [f], in a span moving [bytes]. *)
+let traced t kind ~bytes f = Trace.span Trace.Seglog probe ~kind run t f bytes
 
 let append_inner t tag ?data () =
   (match data with
    | Some d when Bytes.length d <> t.block_size -> invalid_arg "Log.append: data size"
    | Some _ | None -> ());
   (* A log reattached with no free segment opens one only now, once
-     its owners have rebuilt liveness (see [reattach]). A faulted
-     close_segment can leave the segment full but still open; complete
-     the close before placing the new block, or the append would land
-     in the summary slot. *)
-  if t.current < 0 then open_segment_exn t
+     its owners have rebuilt liveness (see [reattach]); so does a log
+     whose last open found no free segment, leaving the current one
+     closed (or since reclaimed) — reopening writes nothing, so a
+     refused append costs no I/O. A faulted close_segment can leave
+     the segment full but still open; complete the close before
+     placing the new block, or the append would land in the summary
+     slot. *)
+  if t.current < 0 || t.segs.(t.current).state <> Open then open_segment_exn t
   else if t.frontier = t.usable then close_segment t;
   let sg = t.segs.(t.current) in
   let slot = t.frontier in

@@ -225,12 +225,12 @@ let charge t involved f =
 
 let is_io_error = function Rpc.R_error (Rpc.Io_error _) -> true | _ -> false
 
-let dispatch _t sh cred ~sync req =
+let dispatch sh cred req =
   sh.sh_ops <- sh.sh_ops + 1;
   let resp =
     match sh.sh_member with
-    | Single d -> Drive.handle d cred ~sync req
-    | Mirrored m -> Mirror.handle m cred ~sync req
+    | Single d -> Drive.handle d cred req
+    | Mirrored m -> Mirror.handle m cred req
   in
   if is_io_error resp then begin
     (* A mirrored shard only surfaces Io_error once failover inside the
@@ -249,13 +249,13 @@ let holder t oid =
 
 let shard_of = holder
 
-let route_to_holder t oid cred ~sync req =
+let route_to_holder t oid cred req =
   let sh = shard t (holder t oid) in
-  charge t [ sh ] (fun () -> dispatch t sh cred ~sync req)
+  charge t [ sh ] (fun () -> dispatch sh cred req)
 
-let fanout t cred ~sync req ~merge =
+let fanout t cred req ~merge =
   let all = shards t in
-  charge t all (fun () -> merge (List.map (fun sh -> (sh, dispatch t sh cred ~sync req)) all))
+  charge t all (fun () -> merge (List.map (fun sh -> (sh, dispatch sh cred req)) all))
 
 let merge_units resps =
   match List.find_opt (fun (_, r) -> r <> Rpc.R_unit) resps with
@@ -568,63 +568,14 @@ let create ?vnodes members =
   catalog_init t;
   t
 
-let handle_inner t cred ~sync req =
-  t.ops <- t.ops + 1;
-  match req with
-  | Rpc.Create _ ->
-    let g = t.next_oid in
-    let sh = shard t (Ring.owner t.ring g) in
-    t.pending_oid <- Some g;
-    let resp =
-      Fun.protect
-        ~finally:(fun () -> t.pending_oid <- None)
-        (fun () -> charge t [ sh ] (fun () -> dispatch t sh cred ~sync req))
-    in
-    (match resp with
-     | Rpc.R_oid oid when Int64.equal oid g -> t.next_oid <- Int64.add g 1L
-     | Rpc.R_oid oid ->
-       (* Cannot happen with the allocator installed; be loud if it does. *)
-       invalid_arg (Printf.sprintf "Router: shard allocated oid %Ld, expected %Ld" oid g)
-     | _ -> ());
-    resp
-  | Rpc.P_create { name; _ } | Rpc.P_delete { name } ->
-    Hashtbl.remove t.pmount_cache name;
-    let sh = shard t t.meta in
-    charge t [ sh ] (fun () -> dispatch t sh cred ~sync req)
-  | Rpc.P_list _ -> (
-    let sh = shard t t.meta in
-    match charge t [ sh ] (fun () -> dispatch t sh cred ~sync req) with
-    | Rpc.R_names ns ->
-      (* The catalog's reserved name is array-private. *)
-      Rpc.R_names (List.filter (fun n -> not (String.equal n catalog_name)) ns)
-    | r -> r)
-  | Rpc.P_mount { name; at = None } -> (
-    match Hashtbl.find_opt t.pmount_cache name with
-    | Some oid -> Rpc.R_oid oid
-    | None ->
-      let sh = shard t t.meta in
-      let resp = charge t [ sh ] (fun () -> dispatch t sh cred ~sync req) in
-      (match resp with
-       | Rpc.R_oid oid -> Hashtbl.replace t.pmount_cache name oid
-       | _ -> ());
-      resp)
-  | Rpc.P_mount _ ->
-    (* Time-based mounts see the meta shard's history; never cached. *)
-    let sh = shard t t.meta in
-    charge t [ sh ] (fun () -> dispatch t sh cred ~sync req)
-  | Rpc.Sync ->
-    (* The admin-path durability barrier: pin every member's head into
-       the catalog first, then fan the Sync out — each member's seal
-       then matches the entry just recorded, and the catalog write
-       itself is synced by the meta member's barrier. *)
-    let all = shards t in
-    charge t all
-      (fun () ->
-        update_catalog t;
-        merge_units (List.map (fun sh -> (sh, dispatch t sh cred ~sync req)) all))
-  | Rpc.Flush _ | Rpc.Set_window _ -> fanout t cred ~sync req ~merge:merge_units
-  | Rpc.Read_audit _ -> fanout t cred ~sync req ~merge:merge_audit
-  | Rpc.Verify_log { from } -> verify_all t cred ~from
+(* Requests routed purely by oid, mutations included: the whole
+   per-request effect (store mutation, audit record, degraded marks,
+   time charge) is confined to the holder shard, so a run of them may
+   be partitioned by holder and executed on per-shard worker domains.
+   Everything else (Create's oid allocation, partition ops, fan-outs)
+   consults or mutates router-global state and stays on the
+   dispatching domain. *)
+let routed_oid = function
   | Rpc.Delete { oid }
   | Rpc.Read { oid; _ }
   | Rpc.Write { oid; _ }
@@ -635,51 +586,106 @@ let handle_inner t cred ~sync req =
   | Rpc.Get_acl_by_user { oid; _ }
   | Rpc.Get_acl_by_index { oid; _ }
   | Rpc.Set_acl { oid; _ }
-  | Rpc.Flush_object { oid; _ } ->
-    route_to_holder t oid cred ~sync req
+  | Rpc.Flush_object { oid; _ } -> Some oid
+  | _ -> None
 
-let handle t cred ?(sync = false) req =
-  if not (Trace.on ()) then handle_inner t cred ~sync req
-  else begin
-    let tok = Trace.enter Trace.Router ~kind:(Rpc.op_name req) ~now:(Simclock.now t.clock) in
-    (match req with
-     | Rpc.Delete { oid }
-     | Rpc.Read { oid; _ }
-     | Rpc.Write { oid; _ }
-     | Rpc.Append { oid; _ }
-     | Rpc.Truncate { oid; _ }
-     | Rpc.Get_attr { oid; _ }
-     | Rpc.Set_attr { oid; _ }
-     | Rpc.Get_acl_by_user { oid; _ }
-     | Rpc.Get_acl_by_index { oid; _ }
-     | Rpc.Set_acl { oid; _ }
-     | Rpc.Flush_object { oid; _ } ->
-       Trace.set_oid tok oid;
-       Trace.set_shard tok (holder t oid)
-     | Rpc.P_create _ | Rpc.P_delete _ | Rpc.P_list _ | Rpc.P_mount _ ->
-       Trace.set_shard tok t.meta
-     | _ -> ());
-    let saved = t.trace_tok in
-    t.trace_tok <- tok;
-    match handle_inner t cred ~sync req with
-    | resp ->
-      t.trace_tok <- saved;
-      (match resp with
-       | Rpc.R_oid oid ->
-         Trace.set_oid tok oid;
-         (match req with
-          | Rpc.Create _ -> Trace.set_shard tok (Ring.owner t.ring oid)
-          | _ -> ())
-       | Rpc.R_data b -> Trace.set_bytes tok (Bytes.length b)
-       | Rpc.R_error e -> Trace.fail tok (Rpc.err_tag e)
-       | _ -> ());
-      Trace.finish tok ~now:(Simclock.now t.clock);
-      resp
-    | exception e ->
-      t.trace_tok <- saved;
-      Trace.abort tok ~now:(Simclock.now t.clock);
-      raise e
-  end
+(* The router's span fields beyond the RPC-level ones: the shard a
+   request lands on, and the open span [charge] books fan-out time
+   to. *)
+let probe =
+  {
+    Trace.clock;
+    opened =
+      (fun tok t _ req ->
+        Rpc.trace_request tok req;
+        (match (routed_oid req, req) with
+         | Some oid, _ -> Trace.set_shard tok (holder t oid)
+         | None, (Rpc.P_create _ | Rpc.P_delete _ | Rpc.P_list _ | Rpc.P_mount _) ->
+           Trace.set_shard tok t.meta
+         | None, _ -> ());
+        let saved = t.trace_tok in
+        t.trace_tok <- tok;
+        saved);
+    closed =
+      (fun tok t _ req saved resp ->
+        t.trace_tok <- saved;
+        Rpc.trace_response tok req resp;
+        match (req, resp) with
+        | Rpc.Create _, Some (Rpc.R_oid oid) -> Trace.set_shard tok (Ring.owner t.ring oid)
+        | _ -> ());
+  }
+
+let handle t cred req =
+  Trace.span Trace.Router probe ~kind:(Rpc.op_name req)
+    (fun t cred req ->
+      t.ops <- t.ops + 1;
+      match req with
+      | Rpc.Create _ ->
+        let g = t.next_oid in
+        let sh = shard t (Ring.owner t.ring g) in
+        t.pending_oid <- Some g;
+        let resp =
+          Fun.protect
+            ~finally:(fun () -> t.pending_oid <- None)
+            (fun () -> charge t [ sh ] (fun () -> dispatch sh cred req))
+        in
+        (match resp with
+         | Rpc.R_oid oid when Int64.equal oid g -> t.next_oid <- Int64.add g 1L
+         | Rpc.R_oid oid ->
+           (* Cannot happen with the allocator installed; be loud if it does. *)
+           invalid_arg (Printf.sprintf "Router: shard allocated oid %Ld, expected %Ld" oid g)
+         | _ -> ());
+        resp
+      | Rpc.P_create { name; _ } | Rpc.P_delete { name } ->
+        Hashtbl.remove t.pmount_cache name;
+        let sh = shard t t.meta in
+        charge t [ sh ] (fun () -> dispatch sh cred req)
+      | Rpc.P_list _ -> (
+        let sh = shard t t.meta in
+        match charge t [ sh ] (fun () -> dispatch sh cred req) with
+        | Rpc.R_names ns ->
+          (* The catalog's reserved name is array-private. *)
+          Rpc.R_names (List.filter (fun n -> not (String.equal n catalog_name)) ns)
+        | r -> r)
+      | Rpc.P_mount { name; at = None } -> (
+        match Hashtbl.find_opt t.pmount_cache name with
+        | Some oid -> Rpc.R_oid oid
+        | None ->
+          let sh = shard t t.meta in
+          let resp = charge t [ sh ] (fun () -> dispatch sh cred req) in
+          (match resp with
+           | Rpc.R_oid oid -> Hashtbl.replace t.pmount_cache name oid
+           | _ -> ());
+          resp)
+      | Rpc.P_mount _ ->
+        (* Time-based mounts see the meta shard's history; never cached. *)
+        let sh = shard t t.meta in
+        charge t [ sh ] (fun () -> dispatch sh cred req)
+      | Rpc.Sync ->
+        (* The admin-path durability barrier: pin every member's head
+           into the catalog first, then fan the Sync out — each member's
+           seal then matches the entry just recorded, and the catalog
+           write itself is synced by the meta member's barrier. *)
+        let all = shards t in
+        charge t all (fun () ->
+            update_catalog t;
+            merge_units (List.map (fun sh -> (sh, dispatch sh cred req)) all))
+      | Rpc.Flush _ | Rpc.Set_window _ -> fanout t cred req ~merge:merge_units
+      | Rpc.Read_audit _ -> fanout t cred req ~merge:merge_audit
+      | Rpc.Verify_log { from } -> verify_all t cred ~from
+      | Rpc.Delete { oid }
+      | Rpc.Read { oid; _ }
+      | Rpc.Write { oid; _ }
+      | Rpc.Append { oid; _ }
+      | Rpc.Truncate { oid; _ }
+      | Rpc.Get_attr { oid; _ }
+      | Rpc.Set_attr { oid; _ }
+      | Rpc.Get_acl_by_user { oid; _ }
+      | Rpc.Get_acl_by_index { oid; _ }
+      | Rpc.Set_acl { oid; _ }
+      | Rpc.Flush_object { oid; _ } ->
+        route_to_holder t oid cred req)
+    t cred req
 
 let barrier t =
   (* Group commit across the array: one durability barrier fanned out
@@ -752,27 +758,6 @@ let read_oid = function
   | Rpc.Get_acl_by_index { oid; _ } -> oid
   | _ -> invalid_arg "Router.read_oid: not a routable read"
 
-(* Requests routed purely by oid, mutations included: the whole
-   per-request effect (store mutation, audit record, degraded marks,
-   time charge) is confined to the holder shard, so a run of them may
-   be partitioned by holder and executed on per-shard worker domains.
-   Everything else (Create's oid allocation, partition ops, fan-outs)
-   consults or mutates router-global state and stays on the
-   dispatching domain. *)
-let routed_oid = function
-  | Rpc.Delete { oid }
-  | Rpc.Read { oid; _ }
-  | Rpc.Write { oid; _ }
-  | Rpc.Append { oid; _ }
-  | Rpc.Truncate { oid; _ }
-  | Rpc.Get_attr { oid; _ }
-  | Rpc.Set_attr { oid; _ }
-  | Rpc.Get_acl_by_user { oid; _ }
-  | Rpc.Get_acl_by_index { oid; _ }
-  | Rpc.Set_acl { oid; _ }
-  | Rpc.Flush_object { oid; _ } -> Some oid
-  | _ -> None
-
 (* Execute the maximal run of oid-routed requests starting at [i] on
    the worker pool, one sub-batch per holder shard. Returns how many
    requests were consumed (0 when the run is too small or lands on a
@@ -821,9 +806,7 @@ let parallel_run t pool cred reqs resps i =
                    (fun () ->
                      List.iter
                        (fun k ->
-                         resps.(k) <-
-                           charge t [ sh ] (fun () ->
-                               dispatch t sh cred ~sync:false reqs.(k)))
+                         resps.(k) <- charge t [ sh ] (fun () -> dispatch sh cred reqs.(k)))
                        idxs) ))
            jobs);
       let worst = Array.fold_left (fun acc e -> if Int64.compare e acc > 0 then e else acc) 0L elapsed in
@@ -882,12 +865,12 @@ let submit t cred ?(sync = false) reqs =
             (fun k ->
               t.ops <- t.ops + 1;
               let sh = shard t (holder t (read_oid reqs.(k))) in
-              resps.(k) <- dispatch t sh cred ~sync:false reqs.(k))
+              resps.(k) <- dispatch sh cred reqs.(k))
             idxs);
       i := !j
     end
     else begin
-      resps.(!i) <- handle t cred ~sync:false reqs.(!i);
+      resps.(!i) <- handle t cred reqs.(!i);
       incr i
     end
     end

@@ -39,10 +39,11 @@ val attach : ?vnodes:int -> (int * member) list -> t
     double-held objects (longer history wins, ring owner breaks ties),
     re-queues interrupted migrations with read-forwarding. *)
 
-val handle : t -> S4.Rpc.credential -> ?sync:bool -> S4.Rpc.req -> S4.Rpc.resp
+val handle : t -> S4.Rpc.credential -> S4.Rpc.req -> S4.Rpc.resp
 (** Route one request: per-object ops to the holding shard, partition
     ops to the meta shard, [Sync]/[Flush]/[SetWindow]/[ReadAudit]
-    fan-out-and-merge. *)
+    fan-out-and-merge. Pays no durability barrier beyond an explicit
+    [Sync] request's; a synced batch goes through {!submit}. *)
 
 val submit :
   t -> S4.Rpc.credential -> ?sync:bool -> S4.Rpc.req array -> S4.Rpc.resp array

@@ -508,29 +508,24 @@ let set_oid_allocator t f = t.oid_allocator <- f
 let oid_allocator t = t.oid_allocator
 let next_oid t = t.oid_counter
 
-(* Span wrapper for the store's public entry points; block-cache hit
-   and miss deltas over the op are charged to the span. Guarded on
-   [Trace.on] so the untraced path allocates nothing. *)
-let traced t kind ?(oid = -1L) ?(bytes = 0) f =
-  if not (Trace.on ()) then f ()
-  else begin
-    let h0 = Lru.hits t.bcache and m0 = Lru.misses t.bcache in
-    let tok = Trace.enter Trace.Store ~kind ~now:(now t) in
-    Trace.set_oid tok oid;
-    Trace.set_bytes tok bytes;
-    let fin () =
-      Trace.add_cache tok ~hits:(Lru.hits t.bcache - h0) ~misses:(Lru.misses t.bcache - m0)
-    in
-    match f () with
-    | v ->
-      fin ();
-      Trace.finish tok ~now:(now t);
-      v
-    | exception e ->
-      fin ();
-      Trace.abort tok ~now:(now t);
-      raise e
-  end
+(* The store's span fields: the object and byte count an operation
+   names, and the block-cache hits and misses it caused. *)
+let probe =
+  {
+    Trace.clock;
+    opened =
+      (fun tok t oid bytes ->
+        Trace.set_oid tok oid;
+        Trace.set_bytes tok bytes;
+        (Lru.hits t.bcache, Lru.misses t.bcache));
+    closed =
+      (fun tok t _ _ (h0, m0) _ ->
+        Trace.add_cache tok ~hits:(Lru.hits t.bcache - h0) ~misses:(Lru.misses t.bcache - m0));
+  }
+
+(* A public entry point's body [f t oid bytes], in a span naming [oid]
+   and [bytes]. *)
+let traced t kind ?(oid = -1L) ?(bytes = 0) f = Trace.span Trace.Store probe ~kind f t oid bytes
 
 let create_object_inner t =
   let oid =
@@ -571,10 +566,10 @@ let create_object_inner t =
   t.s.ops <- t.s.ops + 1;
   oid
 
-let create_object t = traced t "create" (fun () -> create_object_inner t)
+let create_object t = traced t "create" (fun t _ _ -> create_object_inner t)
 
 let delete_object t oid =
-  traced t "delete" ~oid (fun () ->
+  traced t "delete" ~oid (fun t oid _ ->
       let obj = get_live_obj t oid in
       push_entry t obj (Entry.Delete { old_size = obj.o_size });
       obj.o_exists <- false;
@@ -661,10 +656,10 @@ let write_outer t oid ~off ?data ~len () =
   end
 
 let write t oid ~off ?data ~len () =
-  traced t "write" ~oid ~bytes:len (fun () -> write_outer t oid ~off ?data ~len ())
+  traced t "write" ~oid ~bytes:len (fun t oid len -> write_outer t oid ~off ?data ~len ())
 
 let append t oid ?data ~len () =
-  traced t "append" ~oid ~bytes:len (fun () ->
+  traced t "append" ~oid ~bytes:len (fun t oid len ->
       let obj = get_live_obj t oid in
       write_outer t oid ~off:obj.o_size ?data ~len ())
 
@@ -698,10 +693,10 @@ let truncate_inner t oid ~size =
   push_entry t obj (Entry.Truncate { old_size; new_size = size; freed = !freed });
   maybe_checkpoint t obj
 
-let truncate t oid ~size = traced t "truncate" ~oid (fun () -> truncate_inner t oid ~size)
+let truncate t oid ~size = traced t "truncate" ~oid (fun t oid _ -> truncate_inner t oid ~size)
 
 let set_attr t oid attr =
-  traced t "setattr" ~oid ~bytes:(Bytes.length attr) (fun () ->
+  traced t "setattr" ~oid ~bytes:(Bytes.length attr) (fun t oid _ ->
       let obj = get_live_obj t oid in
       t.s.ops <- t.s.ops + 1;
       push_entry t obj (Entry.Set_attr { old_attr = obj.o_attr; new_attr = Bytes.copy attr });
@@ -716,7 +711,7 @@ let set_acl_raw t oid acl =
   maybe_checkpoint t obj
 
 let sync t =
-  traced t "sync" (fun () ->
+  traced t "sync" (fun t _ _ ->
       flush_cpack t;
       flush_journal t;
       Log.sync t.log)
@@ -844,7 +839,8 @@ let read_inner t ?at oid ~off ~len =
     out
   end
 
-let read t ?at oid ~off ~len = traced t "read" ~oid ~bytes:len (fun () -> read_inner t ?at oid ~off ~len)
+let read t ?at oid ~off ~len =
+  traced t "read" ~oid ~bytes:len (fun t oid len -> read_inner t ?at oid ~off ~len)
 
 let list_objects t =
   Hashtbl.fold (fun oid obj acc -> if obj.o_exists then oid :: acc else acc) t.objects []

@@ -114,7 +114,7 @@ let build cfg =
     let drive =
       Drive.format ~config:Systems.content_drive_config (Sim_disk.create ~geometry clock)
     in
-    let tr cred = Translator.mount ~cred (Translator.Local drive) in
+    let tr cred = Translator.mount ~cred (Translator.Backend (Drive.backend drive)) in
     {
       target = Target.Drive drive;
       clock;

@@ -3,7 +3,6 @@ module Geometry = S4_disk.Geometry
 module Sim_disk = S4_disk.Sim_disk
 module Net = S4_disk.Net
 module Drive = S4.Drive
-module Client = S4.Client
 module Store = S4_store.Obj_store
 module Translator = S4_nfs.Translator
 module Server = S4_nfs.Server
@@ -85,11 +84,10 @@ let s4_remote ?(config = Config.default) () =
   let clock, disk = mk_disk config () in
   let drive = Drive.format ~config:config.Config.drive_config disk in
   let net = Net.create clock in
-  let client = Client.connect net drive in
-  let tr = Translator.mount (Translator.Remote client) in
+  let tr = Translator.mount (Translator.Backend (S4.Backend.over_net net (Drive.backend drive))) in
   {
     name = "S4-remote";
-    server = Server.of_translator ~name:"S4-remote" tr;
+    server = Server.over_loopback clock (Server.of_translator ~name:"S4-remote" tr);
     clock;
     disk;
     drive = Some drive;
@@ -100,7 +98,7 @@ let s4_remote ?(config = Config.default) () =
 let s4_nfs_server ?(config = Config.default) () =
   let clock, disk = mk_disk config () in
   let drive = Drive.format ~config:config.Config.drive_config disk in
-  let tr = Translator.mount (Translator.Local drive) in
+  let tr = Translator.mount (Translator.Backend (Drive.backend drive)) in
   let net = Net.create clock in
   let server = Server.over_net net (Server.of_translator ~name:"S4-NFS" tr) in
   { name = "S4-NFS"; server; clock; disk; drive = Some drive; translator = Some tr; router = None }
@@ -149,7 +147,7 @@ let s4_array ?(config = Config.default) ~shards () =
 let s4_direct ?(config = Config.default) () =
   let clock, disk = mk_disk config () in
   let drive = Drive.format ~config:config.Config.drive_config disk in
-  let tr = Translator.mount (Translator.Local drive) in
+  let tr = Translator.mount (Translator.Backend (Drive.backend drive)) in
   {
     name = "S4-direct";
     server = Server.of_translator ~name:"S4-direct" tr;

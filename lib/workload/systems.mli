@@ -85,8 +85,8 @@ val s4_array : ?config:Config.t -> shards:int -> unit -> t
     ([Router.set_domains]). *)
 
 val s4_direct : ?config:Config.t -> unit -> t
-(** Translator linked directly to the drive (in-process [Local]
-    transport, no modeled network): the reference point for the
+(** Translator linked directly to the drive (in-process, no modeled
+    network): the reference point for the
     networked-equivalence tests and the net bench. *)
 
 val s4_loopback : ?config:Config.t -> unit -> t

@@ -12,7 +12,7 @@ module Audit = S4.Audit
 module Rpc = S4.Rpc
 module Throttle = S4.Throttle
 module Drive = S4.Drive
-module Client = S4.Client
+module Backend = S4.Backend
 
 let check = Alcotest.check
 let qtest = Qseed.qtest
@@ -522,41 +522,34 @@ let test_drive_no_space_is_an_error_not_a_crash () =
   (* Reads still work. *)
   check Alcotest.string "drive still serves reads" "seed" (read_str drive alice oid)
 
+(* The modelled network as a [Backend.t] decorator (Fig. 1a): each
+   request pays its round trip after the batch. *)
 let test_client_rpc_costs_time () =
   let clock, _, drive = mk_drive () in
   let net = Net.create clock in
-  let client = Client.connect net drive in
+  let b = Backend.over_net net (Drive.backend drive) in
   let before = Simclock.now clock in
-  let oid = expect_oid (Client.call client alice (Rpc.Create { acl = [] })) in
+  let oid = expect_oid (Backend.handle b alice (Rpc.Create { acl = [] })) in
   check Alcotest.bool "network time charged" true (Int64.compare (Simclock.now clock) before > 0);
-  check Alcotest.int "rpc counted" 1 (Client.rpc_count client);
+  check Alcotest.int "rpc counted" 1 (Net.stats net).Net.rpcs;
   ignore oid
 
 let test_client_payload_costs_bandwidth () =
   let clock, _, drive = mk_drive () in
   let net = Net.create clock in
-  let client = Client.connect net drive in
-  let oid = expect_oid (Client.call client alice (Rpc.Create { acl = [] })) in
+  let b = Backend.over_net net (Drive.backend drive) in
+  let oid = expect_oid (Backend.handle b alice (Rpc.Create { acl = [] })) in
   let t0 = Simclock.now clock in
-  ignore (Client.call_exn client alice (Rpc.Write { oid; off = 0; len = 64; data = Some (Bytes.make 64 'a') }));
+  expect_unit (Backend.handle b alice (Rpc.Write { oid; off = 0; len = 64; data = Some (Bytes.make 64 'a') }));
   let small = Int64.sub (Simclock.now clock) t0 in
   let t1 = Simclock.now clock in
-  ignore
-    (Client.call_exn client alice
+  expect_unit
+    (Backend.handle b alice
        (Rpc.Write { oid; off = 0; len = 1 lsl 20; data = Some (Bytes.make (1 lsl 20) 'b') }));
   let big = Int64.sub (Simclock.now clock) t1 in
   check Alcotest.bool "1MB write much slower than 64B" true
-    (Int64.to_float big > 5.0 *. Int64.to_float small)
-
-let test_client_call_exn () =
-  let clock, _, drive = mk_drive () in
-  let net = Net.create clock in
-  let client = Client.connect net drive in
-  check Alcotest.bool "raises on error" true
-    (try
-       ignore (Client.call_exn client alice (Rpc.Delete { oid = 4242L }));
-       false
-     with Failure _ -> true)
+    (Int64.to_float big > 5.0 *. Int64.to_float small);
+  check Alcotest.int "one rpc per request" 3 (Net.stats net).Net.rpcs
 
 (* A sync batch on a full log: the barrier's audit and journal flush
    find no segment. The batch must answer [No_space] in every slot that
@@ -584,6 +577,71 @@ let test_sync_batch_on_full_log () =
   (* Full now: a read-only batch still needs the barrier's audit flush. *)
   let resps = Drive.submit d admin ~sync:true [| Rpc.Get_attr { oid; at = None } |] in
   check Alcotest.bool "barrier refusal answers No_space" true (resps = [| Rpc.R_error Rpc.No_space |])
+
+(* A copy of the platter, as a crash at this instant would leave it. *)
+let copy_disk disk =
+  let copy = Sim_disk.create ~geometry:(Sim_disk.geometry disk) (Simclock.create ()) in
+  let sectors = Sim_disk.capacity_sectors disk in
+  let step = 2048 in
+  let rec go lba =
+    if lba < sectors then begin
+      Sim_disk.poke copy ~lba ~data:(Sim_disk.peek disk ~lba ~sectors:(min step (sectors - lba)));
+      go (lba + step)
+    end
+  in
+  go 0;
+  Sim_disk.set_saved_head copy (Sim_disk.saved_head disk);
+  copy
+
+(* On a full log, a refused write must not touch the platter (the
+   current segment is already closed and summarised), and a crash
+   afterwards recovers what a crash before it would have. *)
+let test_refused_writes_write_nothing () =
+  let _, disk, d = mk_drive ~mb:16 () in
+  let oid = expect_oid (Drive.handle d admin (Rpc.Create { acl = [] })) in
+  let chunk = 64 * 1024 in
+  let data = Bytes.make chunk 'f' in
+  let write i = Rpc.Write { oid; off = i * chunk; len = chunk; data = Some data } in
+  let rec fill i =
+    if i > 1000 then Alcotest.fail "log never filled";
+    if Array.exists (fun r -> r = Rpc.R_error Rpc.No_space) (Drive.submit d admin ~sync:true [| write i |])
+    then i
+    else fill (i + 1)
+  in
+  let next = fill 0 in
+  let before_crash = copy_disk disk in
+  let writes0 = (Sim_disk.stats disk).Sim_disk.writes in
+  let summaries0 = (Log.stats (Drive.log d)).Log.summaries_written in
+  for i = 1 to 10 do
+    match Drive.handle d admin (write (next + i)) with
+    | Rpc.R_error Rpc.No_space -> ()
+    | r -> Alcotest.failf "refused write %d: %a" i Rpc.pp_resp r
+  done;
+  check Alcotest.int "no disk writes" 0 ((Sim_disk.stats disk).Sim_disk.writes - writes0);
+  check Alcotest.int "no summaries" 0
+    ((Log.stats (Drive.log d)).Log.summaries_written - summaries0);
+  let trail disk = Audit.records (Drive.audit (Drive.attach disk)) () in
+  check Alcotest.int "attach recovers the same audit trail"
+    (List.length (trail before_crash)) (List.length (trail disk));
+  check Alcotest.bool "same records" true (trail before_crash = trail disk);
+  check Alcotest.(list string) "fsck clean" [] (Drive.fsck (Drive.attach disk))
+
+(* A negative oid is a malformed request: it answers [Bad_request] and
+   leaves one audit record naming no object (the audit encoding has no
+   negative oids). *)
+let test_negative_oid_is_bad_request () =
+  let _, _, d = mk_drive () in
+  let n0 = Audit.record_count (Drive.audit d) in
+  (match Drive.handle d alice (Rpc.Get_attr { oid = -5L; at = None }) with
+   | Rpc.R_error (Rpc.Bad_request _) -> ()
+   | r -> Alcotest.failf "get_attr -5: %a" Rpc.pp_resp r);
+  check Alcotest.int "one audit record" (n0 + 1) (Audit.record_count (Drive.audit d));
+  match List.rev (Audit.records (Drive.audit d) ()) with
+  | r :: _ ->
+    check Alcotest.bool "refused" false r.Audit.ok;
+    check Alcotest.int64 "names no object" 0L r.Audit.oid;
+    check Alcotest.string "request kept in info" "oid=-5" r.Audit.info
+  | [] -> Alcotest.fail "no audit record"
 
 let () =
   Alcotest.run "s4_core"
@@ -615,6 +673,10 @@ let () =
       ( "drive",
         [
           Alcotest.test_case "sync batch on a full log" `Quick test_sync_batch_on_full_log;
+          Alcotest.test_case "refused writes on a full log write nothing" `Quick
+            test_refused_writes_write_nothing;
+          Alcotest.test_case "negative oid answers bad_request" `Quick
+            test_negative_oid_is_bad_request;
           Alcotest.test_case "create/write/read" `Quick test_drive_create_write_read;
           Alcotest.test_case "all Table-1 RPCs" `Quick test_drive_all_table1_rpcs;
           Alcotest.test_case "permission checks" `Quick test_drive_permission_checks;
@@ -639,6 +701,5 @@ let () =
         [
           Alcotest.test_case "rpc costs time" `Quick test_client_rpc_costs_time;
           Alcotest.test_case "bandwidth" `Quick test_client_payload_costs_bandwidth;
-          Alcotest.test_case "call_exn" `Quick test_client_call_exn;
         ] );
     ]

@@ -310,6 +310,77 @@ let test_tamper_control () =
   let detected, errors = Crashtest.tamper_clean ~seed:31 in
   if detected then Alcotest.failf "clean run flagged: %s" (String.concat "; " errors)
 
+(* --- verification through the cleaner --------------------------------- *)
+
+module Rpc = S4.Rpc
+module Drive = S4.Drive
+module Backend = S4.Backend
+module Router = S4_shard.Router
+module Mirror = S4_multi.Mirror
+module Simclock = S4_util.Simclock
+module Sim_disk = S4_disk.Sim_disk
+module Geometry = S4_disk.Geometry
+
+let content_drive clock =
+  Drive.format ~config:S4_workload.Systems.content_drive_config
+    (Sim_disk.create
+       ~geometry:(Geometry.with_capacity Geometry.cheetah_9gb ~bytes:(256 * 1024 * 1024))
+       clock)
+
+(* Sync batches of eight 64 KB overwrites under a 5 s detection window;
+   every 25 batches the cleaner runs, then Verify_log. Expired audit
+   blocks stay tagged in segments that still hold live data, so a
+   verifier walking every tagged block sees the chain's old tail come
+   and go with cleaning and reports "records missing". Returns the
+   batches whose check failed, with the first error. *)
+let verify_through_cleaner (b : Backend.t) ~clean =
+  let cred = Rpc.user_cred ~user:1 ~client:1 in
+  let objects = 16 and chunk = 64 * 1024 in
+  let oids =
+    Array.map
+      (function Rpc.R_oid oid -> oid | r -> Alcotest.failf "create: %a" Rpc.pp_resp r)
+      (b.Backend.submit cred ~sync:true (Array.make objects (Rpc.Create { acl = [] })))
+  in
+  (match Backend.handle b Rpc.admin_cred ~sync:true (Rpc.Set_window { window = 5_000_000_000L }) with
+   | Rpc.R_unit -> ()
+   | r -> Alcotest.failf "set_window: %a" Rpc.pp_resp r);
+  let payload = Bytes.make chunk 'p' in
+  let failures = ref [] in
+  for batch = 1 to 400 do
+    let reqs =
+      Array.init 8 (fun i ->
+          Rpc.Write { oid = oids.(((batch * 8) + i) mod objects); off = 0; len = chunk; data = Some payload })
+    in
+    Array.iter
+      (function Rpc.R_unit -> () | r -> Alcotest.failf "batch %d: %a" batch Rpc.pp_resp r)
+      (b.Backend.submit cred ~sync:true reqs);
+    if batch mod 25 = 0 then begin
+      clean ();
+      match Backend.handle b Rpc.admin_cred (Rpc.Verify_log { from = None }) with
+      | Rpc.R_verify v when Chain.clean v -> ()
+      | Rpc.R_verify v ->
+        failures := (batch, String.concat "; " (List.filteri (fun i _ -> i < 1) v.Chain.v_errors)) :: !failures
+      | r -> Alcotest.failf "verify: %a" Rpc.pp_resp r
+    end
+  done;
+  List.rev !failures
+
+let pp_failures = Alcotest.(list (pair int string))
+
+let test_cleaner_verify_drive () =
+  let d = content_drive (Simclock.create ()) in
+  check pp_failures "every check clean" []
+    (verify_through_cleaner (Drive.backend d) ~clean:(fun () -> ignore (Drive.run_cleaner d)))
+
+let test_cleaner_verify_mirrored_array () =
+  let clock = Simclock.create () in
+  let router =
+    Router.create
+      (List.init 2 (fun i -> (i, Router.Mirrored (Mirror.create (content_drive clock) (content_drive clock)))))
+  in
+  check pp_failures "every check clean" []
+    (verify_through_cleaner (Router.backend router) ~clean:(fun () -> Router.run_cleaners router))
+
 let () =
   Alcotest.run "s4_integrity"
     [
@@ -347,5 +418,12 @@ let () =
           Alcotest.test_case "reorder detected" `Quick (tamper_case Crashtest.Reorder);
           Alcotest.test_case "fork detected" `Quick (tamper_case Crashtest.Fork);
           Alcotest.test_case "clean control" `Quick test_tamper_control;
+        ] );
+      ( "cleaner",
+        [
+          Alcotest.test_case "drive verifies clean between cleaner passes" `Quick
+            test_cleaner_verify_drive;
+          Alcotest.test_case "mirrored array verifies clean between cleaner passes" `Quick
+            test_cleaner_verify_mirrored_array;
         ] );
     ]

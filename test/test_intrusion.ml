@@ -31,7 +31,7 @@ let mk_single ?(mb = 64) () =
   let clock = Simclock.create () in
   let disk = Sim_disk.create ~geometry:(geom mb) clock in
   let drive = Drive.format ~config:Systems.content_drive_config disk in
-  let tr = Translator.mount (Translator.Local drive) in
+  let tr = Translator.mount (Translator.Backend (Drive.backend drive)) in
   (clock, drive, Target.Drive drive, tr)
 
 let mk_array ?(mb = 48) ?(mirrored = false) ~shards () =

@@ -341,6 +341,35 @@ let test_balanced_failover_never_serves_stale () =
   (* ...but an oid the journal does not touch still serves. *)
   check Alcotest.string "untouched oid serves from survivor" "steady" (read_str m stable)
 
+(* A synced batch whose barrier faults on the primary: the batch is
+   durable on the secondary, so it succeeds and the primary is failed
+   over with nothing journalled (its in-memory state holds the append).
+   Resync after repair must replay nothing: replaying the append would
+   apply it twice on the primary. *)
+let test_barrier_fault_replays_nothing () =
+  let _, m = mk_mirror () in
+  let oid = expect_oid (Mirror.handle m alice (Rpc.Create { acl = [] })) in
+  write m oid "base";
+  expect_unit (Mirror.handle m alice Rpc.Sync);
+  let pdisk = S4_seglog.Log.disk (Drive.log (Mirror.drive m Mirror.Primary)) in
+  let policy = Fault.create (Rng.create ~seed:5) in
+  Sim_disk.set_fault pdisk (Some policy);
+  Fault.fail_next policy ~writes:100 ~transient:false;
+  (match
+     Mirror.submit m alice ~sync:true
+       [| Rpc.Append { oid; len = 2; data = Some (Bytes.of_string "xy") } |]
+   with
+   | [| Rpc.R_unit |] -> ()
+   | r -> Alcotest.failf "synced append: %a" Rpc.pp_resp r.(0));
+  check Alcotest.bool "primary failed over at the barrier" true (Mirror.is_failed m Mirror.Primary);
+  Sim_disk.set_fault pdisk None;
+  Mirror.set_failed m Mirror.Primary false;
+  (match Mirror.resync m with
+   | Ok n -> check Alcotest.int "nothing replayed" 0 n
+   | Error e -> Alcotest.failf "resync: %s" e);
+  check (Alcotest.list Alcotest.string) "replicas agree" [] (Mirror.divergence m);
+  check Alcotest.string "appended once" "basexy" (read_str m oid)
+
 (* --- Snapshots analysis ------------------------------------------------- *)
 
 let test_capture_probability () =
@@ -389,6 +418,8 @@ let () =
           Alcotest.test_case "both failed" `Quick test_mirror_both_failed;
           Alcotest.test_case "divergence detected" `Quick test_mirror_divergence_detected;
           Alcotest.test_case "parallel write cost" `Quick test_mirror_parallel_write_cost;
+          Alcotest.test_case "barrier fault, repair, resync replays nothing" `Quick
+            test_barrier_fault_replays_nothing;
         ] );
       ( "balanced reads",
         [

@@ -633,6 +633,37 @@ let test_loopback_batch_submit () =
   check Alcotest.int "empty batch" 0 (Array.length none);
   Netclient.close client
 
+(* A malformed request answers in its own slot over the wire too: the
+   rest of the synced batch executes, each request leaves one audit
+   record, and the batch's barrier runs. *)
+let test_negative_oid_in_batch () =
+  let drive = mk_drive () in
+  let srv = Netserver.of_drive drive in
+  let client = Netclient.connect (Nettransport.loopback srv) in
+  let oid = create_object (Netclient.handle client) in
+  let audit = Drive.audit drive in
+  let n0 = Audit.record_count audit in
+  let resps =
+    Netclient.submit client cred ~sync:true
+      [|
+        Rpc.Write { oid; off = 0; len = 4; data = Some (Bytes.of_string "abcd") };
+        Rpc.Get_attr { oid = -5L; at = None };
+        Rpc.Append { oid; len = 3; data = Some (Bytes.of_string "efg") };
+      |]
+  in
+  (match resps with
+   | [| Rpc.R_unit; Rpc.R_error (Rpc.Bad_request _); Rpc.R_unit |] -> ()
+   | _ ->
+     Alcotest.failf "slots: %s"
+       (String.concat ", " (Array.to_list (Array.map (Format.asprintf "%a" Rpc.pp_resp) resps))));
+  (match Netclient.handle client cred (Rpc.Read { oid; off = 0; len = 16; at = None }) with
+   | Rpc.R_data b -> check Alcotest.string "write and append both ran" "abcdefg" (Bytes.to_string b)
+   | r -> Alcotest.failf "read: %a" Rpc.pp_resp r);
+  check Alcotest.int "one audit record per request" (n0 + 3 + 1) (Audit.record_count audit);
+  check Alcotest.bool "the batch's barrier sealed its records" true
+    ((Audit.sealed_head audit).S4_integrity.Chain.records >= n0 + 3);
+  Netclient.close client
+
 let test_batch_chunking () =
   (* A submission larger than the server's advertised limit is sliced
      client-side; every slice is answered and reassembled in order. *)
@@ -1023,6 +1054,8 @@ let () =
           Alcotest.test_case "default server admits 65 and 200 requests" `Quick
             test_default_server_admits_large_submissions;
           Alcotest.test_case "over-limit batch refused" `Quick test_oversized_batch_rejected;
+          Alcotest.test_case "negative oid answers in its own slot" `Quick
+            test_negative_oid_in_batch;
         ] );
       ( "lease",
         [

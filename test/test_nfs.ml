@@ -6,7 +6,6 @@ module Geometry = S4_disk.Geometry
 module Sim_disk = S4_disk.Sim_disk
 module Net = S4_disk.Net
 module Drive = S4.Drive
-module Client = S4.Client
 module Rpc = S4.Rpc
 module N = S4_nfs.Nfs_types
 module Translator = S4_nfs.Translator
@@ -21,7 +20,7 @@ let mk_local ?(mb = 64) () =
   let clock = Simclock.create () in
   let disk = Sim_disk.create ~geometry:(geom mb) clock in
   let drive = Drive.format disk in
-  let tr = Translator.mount (Translator.Local drive) in
+  let tr = Translator.mount (Translator.Backend (Drive.backend drive)) in
   (clock, drive, tr)
 
 let mk_remote ?(mb = 64) () =
@@ -29,7 +28,7 @@ let mk_remote ?(mb = 64) () =
   let disk = Sim_disk.create ~geometry:(geom mb) clock in
   let drive = Drive.format disk in
   let net = Net.create clock in
-  let tr = Translator.mount (Translator.Remote (Client.connect net drive)) in
+  let tr = Translator.mount (Translator.Backend (S4.Backend.over_net net (Drive.backend drive))) in
   (clock, drive, tr)
 
 let fh_of = function
@@ -243,7 +242,7 @@ let test_mount_persistent () =
   let root = Translator.root tr in
   ignore (create tr ~dir:root "persist");
   (* A second mount of the same partition sees the same root. *)
-  let tr2 = Translator.mount (Translator.Local drive) in
+  let tr2 = Translator.mount (Translator.Backend (Drive.backend drive)) in
   check Alcotest.int64 "same root" root (Translator.root tr2);
   match Translator.handle tr2 (N.Lookup { dir = Translator.root tr2; name = "persist" }) with
   | N.R_fh _ -> ()
@@ -260,7 +259,7 @@ let test_remote_config_pays_network () =
   in
   let local = run clock_l tr_l in
   let remote = run clock_r tr_r in
-  check Alcotest.bool "remote slower (network + loopback)" true (Int64.compare remote local > 0)
+  check Alcotest.bool "remote slower (network)" true (Int64.compare remote local > 0)
 
 let test_rpc_batching_counts () =
   let _, _, tr = mk_local () in

@@ -370,7 +370,7 @@ let fill_then_reattach ~disk ~reopen =
   check Alcotest.bool "every synced record recovered" true (prefix (synced, recovered));
   check Alcotest.(list string) "fsck clean" [] (Drive.fsck d2);
   (* Still full: writes are refused, never granted by wiping history. *)
-  (match Drive.handle d2 cred ~sync:true (Rpc.Create { acl = [] }) with
+  (match (Drive.submit d2 cred ~sync:true [| Rpc.Create { acl = [] } |]).(0) with
    | Rpc.R_error Rpc.No_space | Rpc.R_oid _ -> ()
    | r -> Alcotest.failf "post-attach create: %a" Rpc.pp_resp r);
   check Alcotest.bool "history kept after a refused write" true

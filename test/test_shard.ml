@@ -220,8 +220,8 @@ let test_degraded_shard_reporting () =
   Sim_disk.set_fault (shard_disk router 1) (Some policy);
   Fault.fail_next policy ~writes:100 ~transient:false;
   (match
-     Router.handle router alice ~sync:true
-       (Rpc.Write { oid = victim; off = 0; len = 64; data = Some (Bytes.make 64 'x') })
+     (Router.submit router alice ~sync:true
+        [| Rpc.Write { oid = victim; off = 0; len = 64; data = Some (Bytes.make 64 'x') } |]).(0)
    with
   | Rpc.R_error (Rpc.Io_error _) -> ()
   | r -> Alcotest.failf "expected Io_error, got %a" Rpc.pp_resp r);
@@ -247,8 +247,8 @@ let test_mirrored_shard_fails_over () =
   Sim_disk.set_fault pdisk (Some policy);
   Fault.fail_next policy ~writes:100 ~transient:false;
   expect_unit
-    (Router.handle router alice ~sync:true
-       (Rpc.Write { oid = victim; off = 0; len = 10; data = Some (Bytes.of_string "new bytes!") }));
+    (Router.submit router alice ~sync:true
+       [| Rpc.Write { oid = victim; off = 0; len = 10; data = Some (Bytes.of_string "new bytes!") } |]).(0);
   Sim_disk.set_fault pdisk None;
   check (Alcotest.list Alcotest.int) "no degraded shards" [] (Router.degraded_shards router);
   check Alcotest.bool "mirror noticed the dead replica" true (Mirror.is_failed mirror Mirror.Primary);

@@ -22,7 +22,7 @@ let mk ?(mb = 64) () =
   let clock = Simclock.create () in
   let disk = Sim_disk.create ~geometry:(geom mb) clock in
   let drive = Drive.format disk in
-  let tr = Translator.mount (Translator.Local drive) in
+  let tr = Translator.mount (Translator.Backend (Drive.backend drive)) in
   (clock, drive, tr)
 
 let tick clock = Simclock.advance clock 1_000_000L
@@ -378,7 +378,7 @@ let test_image_roundtrip () =
       let clock2, disk2 = Disk_image.load path in
       check Alcotest.int64 "clock restored" (Simclock.now clock) (Simclock.now clock2);
       let drive2 = Drive.attach disk2 in
-      let tr2 = Translator.mount (Translator.Local drive2) in
+      let tr2 = Translator.mount (Translator.Backend (Drive.backend drive2)) in
       check Alcotest.string "contents restored" "persisted across processes"
         (read_file tr2 "etc/data");
       check (Alcotest.list Alcotest.string) "fsck clean after reload" [] (Drive.fsck drive2))
