@@ -194,57 +194,61 @@ let decode_seal b : Chain.seal option =
       Some { Chain.s_head = { Chain.epoch; records; hash }; s_at }
     with Bcodec.Decode_error _ -> None
 
-let flush_block t =
-  match t.buffer with
-  | [] -> ()
-  | newest_first ->
-    let block_size = Log.block_size t.log in
-    let chrono = List.rev newest_first in
-    t.buffer <- [];
-    t.buffer_bytes <- 0;
-    (* Pack greedily by actual encoded size (time deltas vary); each
-       emitted block records where it sits on the chain, then extends
-       the running head with its records. *)
-    let emit group_rev =
-      match group_rev with
-      | [] -> ()
-      | newest :: _ as group_rev ->
-        let group = List.rev group_rev in
-        let data = encode_block block_size ~start:t.chained ~prior:t.chain_head group in
-        let addr = Log.append t.log Tag.Audit ~data () in
-        t.blocks <- (addr, newest.at) :: t.blocks;
-        List.iter
-          (fun r ->
-            t.chain_head <- Chain.extend t.chain_head (canonical r);
-            t.chained <- t.chained + 1)
-          group
-    in
-    let base = ref (match chrono with r :: _ -> r.at | [] -> 0L) in
-    let group = ref [] in
-    let used = ref 0 in
-    List.iter
-      (fun r ->
-        let sz = record_size ~base:!base r in
-        if !used + sz + 17 + 10 + Chain.hash_len > block_size && !group <> [] then begin
-          emit !group;
-          group := [];
-          used := 0;
-          base := r.at
-        end;
-        group := r :: !group;
-        used := !used + sz)
-      chrono;
-    emit !group
+(* The records of [chrono] (oldest first) that fit one block, newest
+   first, packed greedily by actual encoded size (time deltas vary
+   against the first record, the block's base); and the rest. *)
+let take_block block_size chrono =
+  let base = match chrono with r :: _ -> r.at | [] -> 0L in
+  let rec take used acc = function
+    | r :: rest as all ->
+      let sz = record_size ~base r in
+      if used + sz + 17 + 10 + Chain.hash_len > block_size && acc <> [] then (acc, all)
+      else take (used + sz) (r :: acc) rest
+    | [] -> (acc, [])
+  in
+  take 0 [] chrono
 
+(* Each emitted block records where it sits on the chain, then extends
+   the running head with its records. Records leave the buffer only
+   once [Log.append] has returned their block's address: a full log
+   (or a media fault) part-way through keeps the rest buffered. *)
+let flush_block t =
+  let block_size = Log.block_size t.log in
+  let rec emit chrono =
+    match take_block block_size chrono with
+    | [], _ -> ()
+    | (newest :: _ as group_rev), rest ->
+      let group = List.rev group_rev in
+      let data = encode_block block_size ~start:t.chained ~prior:t.chain_head group in
+      let addr = Log.append t.log Tag.Audit ~data () in
+      t.blocks <- (addr, newest.at) :: t.blocks;
+      List.iter
+        (fun r ->
+          t.chain_head <- Chain.extend t.chain_head (canonical r);
+          t.chained <- t.chained + 1;
+          t.buffer_bytes <- t.buffer_bytes - record_wire_bytes r)
+        group;
+      t.buffer <- List.rev rest;
+      emit rest
+  in
+  emit (List.rev t.buffer)
+
+(* A record joins the buffer even when the flush that makes room for
+   it fails: the flush keeps what it could not write, and the error
+   still reaches the caller. *)
 let append t r =
   if t.enabled then begin
     let sz = record_wire_bytes r in
+    let push () =
+      t.buffer <- r :: t.buffer;
+      t.buffer_bytes <- t.buffer_bytes + sz;
+      t.nrecords <- t.nrecords + 1
+    in
     (* header (2) + base (8) + start (10) + prior (32) + count varint
        (3) + crc (4) *)
-    if t.buffer_bytes + sz + 27 + Chain.hash_len > Log.block_size t.log then flush_block t;
-    t.buffer <- r :: t.buffer;
-    t.buffer_bytes <- t.buffer_bytes + sz;
-    t.nrecords <- t.nrecords + 1
+    if t.buffer_bytes + sz + 27 + Chain.hash_len > Log.block_size t.log then
+      Fun.protect ~finally:push (fun () -> flush_block t)
+    else push ()
   end
 
 let flush t = flush_block t

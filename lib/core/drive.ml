@@ -50,7 +50,8 @@ type t = {
   mutable last_clean_at : int64;
   mutable last_clean_busy : int64;
   mutable io_errors : int;  (* RPCs failed on a permanent media fault *)
-  mutable audit_drops : int;  (* audit appends lost to media faults *)
+  mutable audit_drops : int;  (* audit flushes failed on media faults *)
+  mutable anchor_error : string option;  (* device anchor off the recovered chain *)
 }
 
 let clock t = Store.clock t.store
@@ -66,7 +67,7 @@ let now t = Simclock.now (clock t)
 let io_errors t = t.io_errors
 let audit_drops t = t.audit_drops
 
-let degraded t = t.io_errors > 0 || t.audit_drops > 0
+let degraded t = t.io_errors > 0 || t.audit_drops > 0 || Option.is_some t.anchor_error
 
 let detection_cutoff t =
   let c = Int64.sub (now t) (window t) in
@@ -171,6 +172,7 @@ let build cfg log store ~ptable_oid =
     last_clean_busy = 0L;
     io_errors = 0;
     audit_drops = 0;
+    anchor_error = None;
   }
 
 let format ?(config = default_config) disk =
@@ -197,16 +199,22 @@ let attach ?(config = default_config) disk =
      header at the last successful sync must still lie on the recovered
      chain. A recovered chain *newer* than the anchor is ordinary crash
      state; an anchor the chain cannot reproduce means the log was
-     rewound or rewritten behind the device's back. *)
+     rewound or rewritten behind the device's back. That fails closed:
+     the drive serves degraded and [fsck] names the anchor, and nothing
+     is reset. *)
   (if config.integrity then
      match Sim_disk.saved_head (Log.disk log) with
      | None -> ()
      | Some h ->
        let r = Audit.verify ~from:h ~lenient_tail:true t.audit in
-       if not (S4_integrity.Chain.clean r) then
-         Logs.warn (fun m ->
-             m "attach: audit chain disagrees with device anchor: %a"
-               S4_integrity.Chain.pp_result r));
+       if not (S4_integrity.Chain.clean r) then begin
+         let msg =
+           Format.asprintf "device anchor (epoch %d, %d records) is not on the recovered audit chain: %a"
+             h.S4_integrity.Chain.epoch h.S4_integrity.Chain.records S4_integrity.Chain.pp_result r
+         in
+         Logs.warn (fun m -> m "attach: %s" msg);
+         t.anchor_error <- Some msg
+       end);
   t
 
 (* ------------------------------------------------------------------ *)
@@ -437,10 +445,13 @@ let handle t cred req =
           | Fault.Write_fault { lba; transient } -> Rpc.R_error (io_error t lba transient "write")
       in
       let ok = match resp with Rpc.R_error _ -> false | _ -> true in
-      (* A media fault while persisting the audit trail must not take
-         the whole drive down; count the loss and keep serving
-         (degraded). A negative oid is recorded as naming no object;
-         the request's own rendering in [info] still shows it. *)
+      (* Persisting the audit trail must not take the whole drive
+         down, and the request's own answer stands. A record whose
+         flush fails stays buffered for the next one: a full log is
+         answered at the barrier ([No_space]), and a media fault is
+         counted and served degraded. A negative oid is recorded as
+         naming no object; the request's own rendering in [info] still
+         shows it. *)
       (try
          Audit.append t.audit
            {
@@ -452,7 +463,9 @@ let handle t cred req =
              info = Rpc.op_info req;
              ok;
            }
-       with Fault.Read_fault _ | Fault.Write_fault _ -> t.audit_drops <- t.audit_drops + 1);
+       with
+       | Log.Log_full -> ()
+       | Fault.Read_fault _ | Fault.Write_fault _ -> t.audit_drops <- t.audit_drops + 1);
       if t.ops land 1023 = 0 then refresh_pressure t;
       resp)
     t cred req
@@ -514,7 +527,7 @@ let run_cleaner t =
 let integrity_enabled t = t.cfg.integrity
 
 let fsck t =
-  Store.check ~extra_live:(Audit.live_addrs t.audit) t.store
+  Option.to_list t.anchor_error @ Store.check ~extra_live:(Audit.live_addrs t.audit) t.store
 
 let pp_stats ppf t =
   Format.fprintf ppf
@@ -523,6 +536,7 @@ let pp_stats ppf t =
     (Int64.to_float (window t) /. Int64.to_float day_ns)
     (pool_pressure t) (Audit.record_count t.audit)
     (if degraded t then
-       Printf.sprintf " [DEGRADED: %d io errors, %d audit drops]" t.io_errors t.audit_drops
+       Printf.sprintf " [DEGRADED: %d io errors, %d audit drops%s]" t.io_errors t.audit_drops
+         (if Option.is_some t.anchor_error then ", device anchor off chain" else "")
      else "")
     Store.pp_stats t.store Log.pp_stats t.log

@@ -49,7 +49,10 @@ val format : ?config:config -> S4_disk.Sim_disk.t -> t
 val attach : ?config:config -> S4_disk.Sim_disk.t -> t
 (** Crash recovery: rebuild the drive from on-disk state (segment
     summaries, journal blocks, checkpoints, audit blocks,
-    superblock). Unsynced pre-crash state is lost. *)
+    superblock). Unsynced pre-crash state is lost. With integrity on,
+    the device-held anchor must lie on the recovered audit chain (a
+    chain newer than the anchor is ordinary crash state); otherwise
+    the drive comes up {!degraded} and {!fsck} reports the anchor. *)
 
 val submit : t -> Rpc.credential -> ?sync:bool -> Rpc.req array -> Rpc.resp array
 (** Process a batch of RPCs inside the perimeter. Each request gets
@@ -119,7 +122,8 @@ val pool_pressure : t -> float
 (** History-pool pressure in 0..1 (1 = reserve exhausted). *)
 
 val fsck : t -> string list
-(** Full cross-layer invariant check; empty = healthy. *)
+(** Full cross-layer invariant check; empty = healthy. Includes the
+    device anchor check made at {!attach}. *)
 
 val integrity_enabled : t -> bool
 
@@ -135,7 +139,11 @@ val io_errors : t -> int
 (** RPCs that failed on a permanent (or retry-exhausted) media fault. *)
 
 val audit_drops : t -> int
-(** Audit records lost because the audit trail could not be persisted. *)
+(** Requests whose audit flush failed on a media fault. Their records
+    stay buffered for the next flush. *)
 
 val degraded : t -> bool
+(** Whether the drive has seen a media fault, or attached with its
+    device anchor off the recovered audit chain. *)
+
 val pp_stats : Format.formatter -> t -> unit

@@ -33,8 +33,13 @@ let fresh_stats () =
    stored contents; absent sectors are zero bytes, and a page leaves
    the table when its last sector is erased. Torn prefixes, erases and
    [peek] of any range therefore read exactly what a per-sector table
-   would. *)
-type page = { data : Bytes.t; mutable present : int }
+   would.
+
+   A write of exactly one whole page keeps the caller's buffer as the
+   page's [data] instead of copying it ([kept]). The store never
+   writes into a kept buffer: a later whole-page write replaces it,
+   and a partial write, torn write or erase copies it first. *)
+type page = { mutable data : Bytes.t; mutable present : int; mutable kept : bool }
 
 module Pages = Hashtbl.Make (struct
   type t = int
@@ -200,6 +205,13 @@ let read t ~lba ~sectors =
         raise (Fault.Read_fault { lba; transient })));
   account t ~lba ~sectors ~is_read:true ()
 
+(* A page about to be written in place: copy a kept buffer first. *)
+let own pg =
+  if pg.kept then begin
+    pg.data <- Bytes.copy pg.data;
+    pg.kept <- false
+  end
+
 (* Store [sectors] sectors at [lba] from [src] starting at byte [off]
    ([None]: erase them). *)
 let store_mem t m ~lba ~sectors src off =
@@ -211,7 +223,16 @@ let store_mem t m ~lba ~sectors src off =
     let n = min (ps - o) (sectors - !i) in
     let bits = ((1 lsl n) - 1) lsl o in
     (match (src, Pages.find_opt m.pages p) with
+     | Some b, pg when n = ps && Bytes.length b = ps * ss -> (
+       (* One write of exactly this page: keep its buffer. *)
+       match pg with
+       | Some pg ->
+         pg.data <- b;
+         pg.present <- bits;
+         pg.kept <- true
+       | None -> Pages.add m.pages p { data = b; present = bits; kept = true })
      | Some b, Some pg ->
+       own pg;
        Bytes.blit b (off + (!i * ss)) pg.data (o * ss) (n * ss);
        pg.present <- pg.present lor bits
      | Some b, None ->
@@ -223,11 +244,12 @@ let store_mem t m ~lba ~sectors src off =
            d
          end
        in
-       Pages.add m.pages p { data; present = bits }
+       Pages.add m.pages p { data; present = bits; kept = false }
      | None, Some pg ->
        let left = pg.present land lnot bits in
        if left = 0 then Pages.remove m.pages p
        else begin
+         own pg;
          Bytes.fill pg.data (o * ss) (n * ss) '\000';
          pg.present <- left
        end

@@ -84,10 +84,12 @@ val read : t -> lba:int -> sectors:int -> unit
 val write : t -> ?tcq:bool -> ?data:Bytes.t -> lba:int -> sectors:int -> unit -> unit
 (** Timed write. When [data] is given it must be exactly
     [sectors * sector_size] bytes and is retained for later
-    {!read_bytes}. Without [data] any previously stored contents for
-    the range are dropped (the range reads back as zeros). [?tcq]
-    models SCSI tagged command queuing on a busy server: the drive
-    reorders queued writes, halving the expected rotational latency. *)
+    {!read_bytes}; the disk may keep [data] itself rather than a copy,
+    so the caller must not modify it afterwards. Without [data] any
+    previously stored contents for the range are dropped (the range
+    reads back as zeros). [?tcq] models SCSI tagged command queuing on
+    a busy server: the drive reorders queued writes, halving the
+    expected rotational latency. *)
 
 val read_bytes : t -> lba:int -> sectors:int -> Bytes.t
 (** Timed read returning stored contents; unwritten sectors are zeros. *)
@@ -98,7 +100,9 @@ val peek : t -> lba:int -> sectors:int -> Bytes.t
 
 val poke : t -> lba:int -> data:Bytes.t -> unit
 (** Store contents without advancing time or stats; used when I/O cost
-    is accounted separately (e.g. the uncharged-cleaner baseline). *)
+    is accounted separately (e.g. the uncharged-cleaner baseline). As
+    with {!write}, the disk may keep [data]: the caller must not modify
+    it afterwards. *)
 
 val stats : t -> stats
 val reset_stats : t -> unit

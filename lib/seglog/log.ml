@@ -322,7 +322,11 @@ let append_inner t tag ?data () =
   Hashtbl.replace t.pending addr data;
   t.frontier <- t.frontier + 1;
   t.s.appends <- t.s.appends + 1;
-  if t.frontier = t.usable then close_segment t;
+  (* The block is placed and its address final, so a full log must not
+     fail this append: the filled segment is closed either way, and
+     with no segment free the next append refuses before placing
+     anything. *)
+  if t.frontier = t.usable then (try close_segment t with Log_full -> ());
   addr
 
 let append t tag ?data () =

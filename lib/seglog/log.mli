@@ -86,7 +86,9 @@ val set_io_retry : t -> limit:int -> backoff_ms:float -> unit
 val append : t -> Tag.t -> ?data:Bytes.t -> unit -> addr
 (** Allocate the next block of the open segment, to be written at the
     next {!sync} (or segment close). [data], when given, must be
-    exactly one block. The returned address is final. *)
+    exactly one block; the log and the disk below it may keep [data]
+    itself, so the caller must not modify it afterwards. The returned
+    address is final. *)
 
 val sync : t -> unit
 (** Flush buffered blocks of the open segment to disk (one sequential

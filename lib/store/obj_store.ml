@@ -176,16 +176,17 @@ let flush_journal t =
     let chronological = List.rev pending in
     t.pending <- [];
     let block_size = bs t in
+    (* Each entry is encoded once, when it is sized; the group keeps
+       that form for its block. *)
     let emit group_rev =
       match group_rev with
       | [] -> ()
       | _ ->
         let group = List.rev group_rev in
-        let jes = List.map (fun re -> Entry.to_jentry re.e) group in
-        let data = Jblock.encode ~block_size ~prev:t.last_jaddr jes in
+        let data = Jblock.encode ~block_size ~prev:t.last_jaddr (List.map snd group) in
         let jaddr = Log.append t.log Tag.Journal ~data () in
         List.iter
-          (fun re ->
+          (fun (re, _) ->
             re.jaddr <- jaddr;
             jref_get t jaddr re)
           group;
@@ -202,7 +203,7 @@ let flush_journal t =
         group := [];
         group_size := 0
       end;
-      group := re :: !group;
+      group := (re, je) :: !group;
       group_size := !group_size + sz
     in
     List.iter add chronological;

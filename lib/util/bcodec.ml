@@ -98,19 +98,43 @@ let contents w = Bytes.sub w.buf 0 w.len
 
 (* The one owner of the block framing every self-checking on-disk
    block shares: body from offset 0, zero pad, CRC-32 of everything
-   before it in the last four bytes. The body is written in place. *)
+   before it in the last four bytes. The body is written in place. The
+   CRC reads the body only and extends over the pad arithmetically
+   ({!Crc32.zeros}), so a block costs what its body costs; the bytes
+   are those of a CRC over the whole block. *)
 let frame ~size body =
   if size < 4 then invalid_arg "Bcodec.frame: block too small";
   let b = Bytes.create size in
   let w = { buf = b; len = 0; cap = size - 4; growable = false } in
   body w;
-  Bytes.fill b w.len (size - 4 - w.len) '\000';
-  set_u32 b (size - 4) (Crc32.sub b ~pos:0 ~len:(size - 4));
+  let pad = size - 4 - w.len in
+  Bytes.fill b w.len pad '\000';
+  set_u32 b (size - 4) (Crc32.finish (Crc32.zeros (Crc32.update Crc32.init b ~pos:0 ~len:w.len) pad));
   b
 
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+(* Just past the last nonzero byte of [b] before [stop], scanning back
+   eight bytes at a time. *)
+let body_end b stop =
+  let i = ref stop in
+  while !i >= 8 && (get64u b (!i - 8) : int64) = 0L do
+    i := !i - 8
+  done;
+  while !i > 0 && Bytes.unsafe_get b (!i - 1) = '\000' do
+    decr i
+  done;
+  !i
+
+(* Whatever precedes the CRC is a body followed by zero bytes, so its
+   CRC is the body's extended over those zeros. *)
 let check_frame b =
   let n = Bytes.length b in
-  n >= 4 && get_u32 b (n - 4) = Crc32.sub b ~pos:0 ~len:(n - 4)
+  n >= 4
+  &&
+  let stop = n - 4 in
+  let e = body_end b stop in
+  get_u32 b stop = Crc32.finish (Crc32.zeros (Crc32.update Crc32.init b ~pos:0 ~len:e) (stop - e))
 
 type reader = { buf : Bytes.t; mutable pos : int }
 

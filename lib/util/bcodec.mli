@@ -58,10 +58,13 @@ val contents : writer -> Bytes.t
 val frame : size:int -> (writer -> unit) -> Bytes.t
 (** [frame ~size body] is a fresh [size]-byte block whose body [body]
     writes in place. Raises [Invalid_argument] if the body leaves fewer
-    than four bytes for the CRC. *)
+    than four bytes for the CRC. The CRC reads only the body's bytes
+    and covers the pad with {!Crc32.zeros}. *)
 
 val check_frame : Bytes.t -> bool
-(** Whether the last four bytes of a block hold the CRC-32 of the rest. *)
+(** Whether the last four bytes of a block hold the CRC-32 of the rest.
+    Like {!frame}, it reads the bytes up to the last nonzero one and
+    covers the zeros after them arithmetically. *)
 
 (** {1 Reader} *)
 

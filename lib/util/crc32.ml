@@ -58,6 +58,46 @@ let update acc b ~pos ~len =
   done;
   !c
 
+(* [mult a b] is a * b mod P, both operands in the register's reflected
+   bit order (bit 31 is x^0): one shift-and-add step per bit of [a]. *)
+let mult a b =
+  let p = ref 0 and b = ref b in
+  for i = 31 downto 0 do
+    p := !p lxor (!b land -((a lsr i) land 1));
+    b := (!b lsr 1) lxor (polynomial land -(!b land 1))
+  done;
+  !p
+
+(* [zero_pow.((d * 256) + j)] is x^(8 * j * 256^d) mod P: the factor
+   that advances the register over [j * 256^d] zero bytes. Eight digits
+   cover every non-negative int. *)
+let zero_pow =
+  let t = Array.make (8 * 256) 0 in
+  let step = ref 0x00800000 (* x^8: one zero byte *) in
+  for d = 0 to 7 do
+    let row = d * 256 in
+    t.(row) <- 0x80000000 (* x^0 *);
+    for j = 1 to 255 do
+      t.(row + j) <- mult t.(row + j - 1) !step
+    done;
+    step := mult t.(row + 255) !step
+  done;
+  t
+
+(* With no input bits the register only shifts, so [k] zero bytes
+   multiply it by x^(8k) mod P (as zlib's crc32_combine does): one
+   multiplication per nonzero base-256 digit of [k]. *)
+let zeros acc k =
+  if k < 0 then invalid_arg "Crc32.zeros";
+  let acc = ref acc and k = ref k and row = ref 0 in
+  while !k > 0 do
+    let j = !k land 0xFF in
+    if j <> 0 then acc := mult (Array.unsafe_get zero_pow (!row + j)) !acc;
+    k := !k lsr 8;
+    row := !row + 256
+  done;
+  !acc
+
 let finish acc = acc lxor 0xFFFFFFFF
 let sub b ~pos ~len = finish (update init b ~pos ~len)
 let bytes b = sub b ~pos:0 ~len:(Bytes.length b)

@@ -16,6 +16,12 @@ val update : t -> Bytes.t -> pos:int -> len:int -> t
 (** [update acc b ~pos ~len] folds [len] bytes of [b] starting at [pos]
     into the accumulator. Raises [Invalid_argument] on bad ranges. *)
 
+val zeros : t -> int -> t
+(** [zeros acc k] is [update acc] over [k] zero bytes, computed without
+    reading them: the register is multiplied by x{^8k} mod P, at most
+    one multiplication per nonzero base-256 digit of [k]. Raises
+    [Invalid_argument] if [k] is negative. *)
+
 val finish : t -> int
 (** Final inversion. *)
 

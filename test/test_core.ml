@@ -626,6 +626,84 @@ let test_refused_writes_write_nothing () =
   check Alcotest.bool "same records" true (trail before_crash = trail disk);
   check Alcotest.(list string) "fsck clean" [] (Drive.fsck (Drive.attach disk))
 
+(* 500 refused sync writes on a full drive: the audit records of the
+   refused requests outgrow a block and every flush of them finds no
+   segment. No exception may escape, no record may be lost, and the
+   barrier keeps answering [No_space]. *)
+let test_full_log_keeps_audit_records () =
+  let _, _, d = mk_drive ~mb:16 () in
+  let oid = expect_oid (Drive.handle d admin (Rpc.Create { acl = [] })) in
+  let chunk = 64 * 1024 in
+  let data = Bytes.make chunk 'f' in
+  let refused = ref 0 and i = ref 0 in
+  while !refused < 500 do
+    if !i > 5000 then Alcotest.fail "log never filled";
+    let resps = Drive.submit d admin ~sync:true [| Rpc.Write { oid; off = !i * chunk; len = chunk; data = Some data } |] in
+    if resps = [| Rpc.R_error Rpc.No_space |] then incr refused;
+    incr i
+  done;
+  check Alcotest.bool "barrier answers No_space" true (Drive.barrier d = Some Rpc.No_space);
+  let audit = Drive.audit d in
+  let count = Audit.record_count audit in
+  match Drive.handle d admin (Rpc.Read_audit { since = 0L; until = Int64.max_int }) with
+  | Rpc.R_audit records ->
+    check Alcotest.int "one record per request" (1 + !i) count;
+    check Alcotest.int "every record readable" count (List.length records)
+  | r -> Alcotest.failf "read_audit: %a" Rpc.pp_resp r
+
+(* Erase everything past the log's reserved first segment, keeping the
+   superblock in it: the log area of a wiped image. *)
+let wipe_log_area disk =
+  let sectors = Sim_disk.capacity_sectors disk in
+  let from = 128 * 8 (* one reserved 128-block segment of 8-sector blocks *) in
+  let step = 2048 in
+  let rec go lba =
+    if lba < sectors then begin
+      Sim_disk.write disk ~lba ~sectors:(min step (sectors - lba)) ();
+      go (lba + step)
+    end
+  in
+  go from
+
+let anchor_errors d = List.filter (String.starts_with ~prefix:"device anchor") (Drive.fsck d)
+
+(* The device-held anchor fails closed: a synced drive whose log area
+   is wiped attaches degraded, and fsck names the anchor. A clean
+   reattach, and a crash image whose chain runs past the anchor, stay
+   clean. *)
+let test_off_chain_anchor_fails_closed () =
+  let _, disk, d = mk_drive ~mb:16 () in
+  let oid = create_file d alice "anchored" in
+  for i = 1 to 20 do
+    expect_unit (Drive.handle d alice (Rpc.Write { oid; off = i * 100; len = 5; data = Some (bytes_of "hello") }))
+  done;
+  check Alcotest.bool "synced" true (Drive.barrier d = None);
+  check Alcotest.bool "anchor set" true (Sim_disk.saved_head disk <> None);
+  let clean = Drive.attach (copy_disk disk) in
+  check Alcotest.bool "clean reattach not degraded" false (Drive.degraded clean);
+  check Alcotest.(list string) "clean reattach fsck" [] (Drive.fsck clean);
+  (* Past the barrier: enough records to flush audit blocks, and enough
+     data to close segments, so they reach the platter unsealed. *)
+  for i = 1 to 400 do
+    expect_unit (Drive.handle d alice (Rpc.Write { oid; off = 4096 * i; len = 4096; data = Some (Bytes.make 4096 'x') }))
+  done;
+  let crashed = copy_disk disk in
+  check Alcotest.bool "anchor unchanged" true (Sim_disk.saved_head crashed = Sim_disk.saved_head disk);
+  let d2 = Drive.attach crashed in
+  check Alcotest.bool "chain runs past the anchor" true
+    (Audit.chained (Drive.audit d2) > (Option.get (Sim_disk.saved_head disk)).S4_integrity.Chain.records);
+  check Alcotest.bool "crash image not degraded" false (Drive.degraded d2);
+  check Alcotest.(list string) "crash image fsck" [] (Drive.fsck d2);
+  let wiped = copy_disk disk in
+  wipe_log_area wiped;
+  let d3 = Drive.attach wiped in
+  check Alcotest.bool "wiped image degraded" true (Drive.degraded d3);
+  check Alcotest.int "fsck names the anchor" 1 (List.length (anchor_errors d3));
+  let stats = Format.asprintf "%a" Drive.pp_stats d3 in
+  let k = "device anchor off chain" in
+  let rec has i = i + String.length k <= String.length stats && (String.sub stats i (String.length k) = k || has (i + 1)) in
+  check Alcotest.bool "pp_stats says so" true (has 0)
+
 (* A negative oid is a malformed request: it answers [Bad_request] and
    leaves one audit record naming no object (the audit encoding has no
    negative oids). *)
@@ -677,6 +755,10 @@ let () =
             test_refused_writes_write_nothing;
           Alcotest.test_case "negative oid answers bad_request" `Quick
             test_negative_oid_is_bad_request;
+          Alcotest.test_case "a full log keeps every audit record" `Quick
+            test_full_log_keeps_audit_records;
+          Alcotest.test_case "an off-chain device anchor fails closed" `Quick
+            test_off_chain_anchor_fails_closed;
           Alcotest.test_case "create/write/read" `Quick test_drive_create_write_read;
           Alcotest.test_case "all Table-1 RPCs" `Quick test_drive_all_table1_rpcs;
           Alcotest.test_case "permission checks" `Quick test_drive_permission_checks;

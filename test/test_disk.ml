@@ -199,14 +199,18 @@ module Rng = S4_util.Rng
 (* The in-memory backing keeps 4 KB pages; this reference keeps one
    optional sector each, which is what the interface promises. Writes
    go through a fault policy that tears some of them to a sector
-   prefix; a twin policy on the same seed tells the model which prefix. *)
+   prefix; a twin policy on the same seed tells the model which prefix.
+   Whole-page writes and pokes (which the store may keep rather than
+   copy) mix with partial, torn and erasing ones on the same 16 pages,
+   and no buffer handed to the disk may ever change. *)
 let prop_pages_match_sector_model =
-  let geometry = { small_geom with Geometry.sectors = 512 } in
+  let geometry = { small_geom with Geometry.sectors = 128 } in
   let ss = geometry.Geometry.sector_size in
+  let ps = 4096 / ss in
   let gen_op =
-    QCheck.Gen.(quad (int_bound 3) (int_bound 511) (1 -- 24) int)
+    QCheck.Gen.(quad (int_bound 5) (int_bound 127) (1 -- 24) int)
   in
-  QCheck.Test.make ~name:"page store matches a per-sector model" ~count:200
+  QCheck.Test.make ~name:"page store matches a per-sector model" ~count:300
     QCheck.(pair small_nat (make Gen.(list_size (1 -- 60) gen_op)))
     (fun (seed, ops) ->
       let disk = Sim_disk.create ~geometry (Simclock.create ()) in
@@ -226,31 +230,45 @@ let prop_pages_match_sector_model =
           model.(lba + i) <- Option.map (fun b -> Bytes.sub b (i * ss) ss) data
         done
       in
+      (* Every buffer handed to the disk, with a copy of what it held. *)
+      let handed = ref [] in
+      let hand b = handed := (b, Bytes.copy b) :: !handed in
+      let unchanged () = List.for_all (fun (b, copy) -> Bytes.equal b copy) !handed in
+      let timed_write ?data lba sectors =
+        Option.iter hand data;
+        let k =
+          match Fault.on_write twin ~sectors with
+          | Fault.W_torn k -> k
+          | _ -> sectors
+        in
+        Sim_disk.write disk ?data ~lba ~sectors ();
+        store lba k data
+      in
       List.for_all
         (fun (kind, lba, sectors, fill) ->
-          let sectors = min sectors (geometry.Geometry.sectors - lba) in
+          let page_lba = lba / ps * ps in
+          let sectors = if kind >= 4 then ps else min sectors (geometry.Geometry.sectors - lba) in
+          let lba = if kind >= 4 then page_lba else lba in
           let payload = Bytes.init (sectors * ss) (fun i -> Char.chr ((fill + (i * 7) + (i / ss)) land 0xFF)) in
           match kind with
-          | 0 | 1 ->
-            (* Timed write (kind 0) or erase (kind 1), possibly torn. *)
-            let data = if kind = 0 then Some payload else None in
-            let k =
-              match Fault.on_write twin ~sectors with
-              | Fault.W_torn k -> k
-              | _ -> sectors
-            in
-            Sim_disk.write disk ?data ~lba ~sectors ();
-            store lba k data;
+          | 0 | 4 ->
+            (* Timed write of any range, or of one whole page; possibly torn. *)
+            timed_write ~data:payload lba sectors;
             true
-          | 2 ->
+          | 1 ->
+            timed_write lba sectors;
+            true
+          | 2 | 5 ->
+            hand payload;
             Sim_disk.poke disk ~lba ~data:payload;
             store lba sectors (Some payload);
             true
-          | _ -> Bytes.equal (Sim_disk.peek disk ~lba ~sectors) (model_peek lba sectors))
+          | _ -> Bytes.equal (Sim_disk.peek disk ~lba ~sectors) (model_peek lba sectors) && unchanged ())
         ops
       && Bytes.equal
            (Sim_disk.peek disk ~lba:0 ~sectors:geometry.Geometry.sectors)
-           (model_peek 0 geometry.Geometry.sectors))
+           (model_peek 0 geometry.Geometry.sectors)
+      && unchanged ())
 
 let () =
   Alcotest.run "s4_disk"

@@ -207,13 +207,20 @@ let test_log_full_raises () =
   let clock = Simclock.create () in
   let disk = Sim_disk.create ~geometry:(Geometry.with_capacity Geometry.cheetah_9gb ~bytes:(2 * 1024 * 1024)) clock in
   let log = Log.create disk in
+  (* Every usable slot takes a block, the one filling the last slot
+     included: an append that has placed its block returns its address.
+     Only the next append is refused. *)
+  let placed = ref [] in
   check Alcotest.bool "raises Log_full" true
     (try
        for _ = 1 to 127 * 4 do
-         ignore (Log.append log Tag.Journal ())
+         placed := Log.append log Tag.Journal () :: !placed
        done;
        false
-     with Log.Log_full -> true)
+     with Log.Log_full -> true);
+  check Alcotest.int "every slot placed" (Log.usable_blocks log) (List.length !placed);
+  check Alcotest.bool "last block tagged" true
+    (Log.tag_of log (List.hd !placed) = Some Tag.Journal)
 
 let test_read_run_clamps () =
   let _, _, log = mk () in

@@ -73,6 +73,27 @@ let prop_crc_matches_reference =
       let acc = Crc32.update acc b ~pos:c ~len:(pos + len - c) in
       Crc32.sub b ~pos ~len = expected && Crc32.finish acc = expected)
 
+let test_crc_zeros () =
+  (* Against [update] over real zero bytes, from two registers: the
+     initial one and one left by some data. *)
+  let data = Bytes.of_string "self-securing storage" in
+  let mid = Crc32.update Crc32.init data ~pos:0 ~len:(Bytes.length data) in
+  let zeros = Bytes.make 4100 '\000' in
+  for k = 0 to 4100 do
+    List.iter
+      (fun acc ->
+        let expected = Crc32.update acc zeros ~pos:0 ~len:k in
+        if Crc32.zeros acc k <> expected then Alcotest.failf "zeros %08x %d" acc k)
+      [ Crc32.init; mid ]
+  done;
+  List.iter
+    (fun k ->
+      let expected = Crc32.update mid (Bytes.make k '\000') ~pos:0 ~len:k in
+      check Alcotest.int (Printf.sprintf "zeros %d" k) expected (Crc32.zeros mid k))
+    [ 65_535; 65_536; 65_537; 1_048_583; 16_777_216 + 4_093 ];
+  Alcotest.check_raises "negative" (Invalid_argument "Crc32.zeros") (fun () ->
+      ignore (Crc32.zeros Crc32.init (-1)))
+
 (* --- SHA-256 -------------------------------------------------------- *)
 
 module Sha256 = S4_util.Sha256
@@ -133,6 +154,69 @@ let test_frame_overflow () =
        ignore (Bcodec.frame ~size:64 (fun w -> Bcodec.w_raw w (Bytes.make 61 'x')));
        false
      with Invalid_argument _ -> true)
+
+(* A block framed the slow way: body, zero pad, then the bitwise
+   reference CRC over everything before the last four bytes. *)
+let reference_frame ~size body =
+  let b = Bytes.make size '\000' in
+  Bytes.blit body 0 b 0 (Bytes.length body);
+  Bcodec.set_u32 b (size - 4) (crc_reference b ~pos:0 ~len:(size - 4));
+  b
+
+(* Random bodies of any length that fits, a third of them ending in a
+   run of zero bytes, in blocks from 4 bytes to a little over 8 KB. *)
+let gen_framed =
+  QCheck.Gen.(
+    let* size = oneof [ return 4096; return 512; return 8192; 4 -- 8300 ] in
+    let* len = 0 -- (size - 4) in
+    let* zero_tail = 0 -- 2 in
+    let* seed = int in
+    let rng = Random.State.make [| seed |] in
+    let body =
+      Bytes.init len (fun i ->
+          if zero_tail = 0 && i >= len / 2 then '\000' else Char.chr (Random.State.int rng 256))
+    in
+    return (size, body))
+
+let print_framed (size, body) = Printf.sprintf "size=%d body=%d" size (Bytes.length body)
+
+let prop_frame_matches_reference =
+  QCheck.Test.make ~name:"frame equals a full-length CRC frame" ~count:300
+    (QCheck.make ~print:print_framed gen_framed)
+    (fun (size, body) ->
+      let b = Bcodec.frame ~size (fun w -> Bcodec.w_raw w body) in
+      Bytes.equal b (reference_frame ~size body) && Bcodec.check_frame b)
+
+let flip b bit =
+  let i = bit / 8 in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit mod 8))))
+
+let prop_check_frame_rejects_flips =
+  QCheck.Test.make ~name:"check_frame rejects any single-bit flip" ~count:300
+    (QCheck.make
+       ~print:(fun (f, where, _) -> Printf.sprintf "%s where=%d" (print_framed f) where)
+       QCheck.Gen.(triple gen_framed (int_bound 2) nat))
+    (fun ((size, body), where, pick) ->
+      let b = Bcodec.frame ~size (fun w -> Bcodec.w_raw w body) in
+      (* One bit of the body, the pad or the CRC, as drawn. *)
+      let len = Bytes.length body and pad = size - 4 - Bytes.length body in
+      let bit =
+        match where with
+        | 0 when len > 0 -> pick mod (8 * len)
+        | 1 when pad > 0 -> (8 * len) + (pick mod (8 * pad))
+        | _ -> (8 * (size - 4)) + (pick mod 32)
+      in
+      flip b bit;
+      not (Bcodec.check_frame b))
+
+let test_check_frame_every_flip () =
+  let b = Bcodec.frame ~size:512 (fun w -> Bcodec.w_string w "body\000\000") in
+  for bit = 0 to (8 * 512) - 1 do
+    flip b bit;
+    if Bcodec.check_frame b then Alcotest.failf "flip of bit %d passed" bit;
+    flip b bit
+  done;
+  check Alcotest.bool "restored" true (Bcodec.check_frame b)
 
 (* --- RNG ----------------------------------------------------------- *)
 
@@ -533,6 +617,7 @@ let () =
           Alcotest.test_case "bad range" `Quick test_crc_bad_range;
           qtest prop_crc_detects_single_bit_flip;
           qtest prop_crc_matches_reference;
+          Alcotest.test_case "zeros" `Quick test_crc_zeros;
         ] );
       ( "sha256",
         [
@@ -543,6 +628,9 @@ let () =
         [
           Alcotest.test_case "layout" `Quick test_frame_layout;
           Alcotest.test_case "overflow" `Quick test_frame_overflow;
+          qtest prop_frame_matches_reference;
+          qtest prop_check_frame_rejects_flips;
+          Alcotest.test_case "every flip of a block" `Quick test_check_frame_every_flip;
         ] );
       ( "rng",
         [
