@@ -2,7 +2,7 @@ module N = S4_nfs.Nfs_types
 module Server = S4_nfs.Server
 module Sim_disk = S4_disk.Sim_disk
 module Simclock = S4_util.Simclock
-module Lru = S4_store.Lru
+module Lru = S4_store.Lru.Make (Int)
 
 type config = {
   name : string;
@@ -53,7 +53,7 @@ type t = {
   maps : (N.fh, int list) Hashtbl.t;  (* fh -> allocated block addrs *)
   dirs : (N.fh, N.dirent list) Hashtbl.t;
   groups_of : (N.fh, int) Hashtbl.t;
-  cache : (int, unit) Lru.t;
+  cache : unit Lru.t;
   mutable next_fh : int64;
   mutable meta_pending : int;
   mutable meta_writes : int;

@@ -18,20 +18,32 @@ let magic_v1 = 0x5541 (* "AU": pre-chain blocks, still decodable *)
 let magic = 0x5542 (* "BU": chained blocks carrying start index + prior head *)
 let seal_magic = 0x5345 (* "ES": epoch seal *)
 
+(* A block or seal of the log at [addr]; the cleaner's moves update
+   [addr] in place. *)
+type 'a placed = { mutable addr : int; v : 'a }
+
+(* Members by address, for the cleaner's moves: built at the first move
+   after the member lists change, and dropped at the next change. *)
+type index = {
+  at_block : (int, int64 placed) Hashtbl.t;
+  at_seal : (int, Chain.seal placed) Hashtbl.t;
+}
+
 type t = {
   log : Log.t;
   mutable enabled : bool;
   mutable buffer : record list;  (* newest first *)
   mutable buffer_bytes : int;
-  mutable blocks : (int * int64) list;  (* (addr, newest record time), newest first *)
+  mutable blocks : int64 placed list;  (* newest record time, newest first *)
   mutable nrecords : int;
   (* Hash chain state over flushed records. Buffered records are not
      yet chained: they join the chain in flush order, so the chain is
      exactly the persisted record sequence. *)
   mutable chain_head : string;  (* head after the last flushed record *)
   mutable chained : int;  (* global index: flushed records since format *)
-  mutable seals : (int * Chain.seal) list;  (* (addr, seal), newest first *)
+  mutable seals : Chain.seal placed list;  (* newest first *)
   mutable last_seal : Chain.head;
+  mutable index : index option;
 }
 
 let create ?(enabled = true) log =
@@ -46,6 +58,7 @@ let create ?(enabled = true) log =
     chained = 0;
     seals = [];
     last_seal = Chain.genesis;
+    index = None;
   }
 
 let enabled t = t.enabled
@@ -221,7 +234,8 @@ let flush_block t =
       let group = List.rev group_rev in
       let data = encode_block block_size ~start:t.chained ~prior:t.chain_head group in
       let addr = Log.append t.log Tag.Audit ~data () in
-      t.blocks <- (addr, newest.at) :: t.blocks;
+      t.blocks <- { addr; v = newest.at } :: t.blocks;
+      t.index <- None;
       List.iter
         (fun r ->
           t.chain_head <- Chain.extend t.chain_head (canonical r);
@@ -253,7 +267,7 @@ let append t r =
 
 let flush t = flush_block t
 let block_count t = List.length t.blocks
-let block_addrs t = List.map fst t.blocks
+let block_addrs t = List.map (fun p -> p.addr) t.blocks
 let record_count t = t.nrecords
 
 (* ------------------------------------------------------------------ *)
@@ -281,18 +295,19 @@ let seal t =
     let s = { Chain.s_head = head; s_at = Simclock.now (Log.clock t.log) } in
     let data = encode_seal (Log.block_size t.log) s in
     let addr = Log.append t.log Tag.Audit ~data () in
-    t.seals <- (addr, s) :: t.seals;
+    t.seals <- { addr; v = s } :: t.seals;
+    t.index <- None;
     t.last_seal <- head
   end
 
-let live_addrs t = List.map fst t.blocks @ List.map fst t.seals
+let live_addrs t = block_addrs t @ List.map (fun p -> p.addr) t.seals
 
 let records t ?(since = 0L) ?(until = Int64.max_int) () =
   let in_range r = Int64.compare r.at since >= 0 && Int64.compare r.at until <= 0 in
   let from_blocks =
     List.concat_map
-      (fun (addr, _) ->
-        match decode_block (Log.read t.log addr) with
+      (fun p ->
+        match decode_block (Log.read t.log p.addr) with
         | Some rs -> List.filter in_range rs
         | None -> [])
       (List.rev t.blocks)
@@ -301,27 +316,50 @@ let records t ?(since = 0L) ?(until = Int64.max_int) () =
 
 let expire t ~cutoff =
   let expired, kept =
-    List.partition (fun (_, newest) -> Int64.compare newest cutoff < 0) t.blocks
+    List.partition (fun p -> Int64.compare p.v cutoff < 0) t.blocks
   in
-  List.iter (fun (addr, _) -> Log.kill t.log addr) expired;
+  List.iter (fun p -> Log.kill t.log p.addr) expired;
   t.blocks <- kept;
+  t.index <- None;
   (* Old seals go with their records, but the newest seal is always
      kept: it anchors the surviving suffix of the chain. *)
   let newest_epoch = t.last_seal.Chain.epoch in
   let dead_seals, kept_seals =
     List.partition
-      (fun (_, (s : Chain.seal)) ->
+      (fun { v = (s : Chain.seal); _ } ->
         s.Chain.s_head.Chain.epoch <> newest_epoch && Int64.compare s.Chain.s_at cutoff < 0)
       t.seals
   in
-  List.iter (fun (addr, _) -> Log.kill t.log addr) dead_seals;
+  List.iter (fun p -> Log.kill t.log p.addr) dead_seals;
   t.seals <- kept_seals;
   List.length expired + List.length dead_seals
 
+(* O(1) per moved block: one index build per change of the member
+   lists (expiry runs after every cleaner pass), then a lookup. *)
 let on_move t ~old_addr ~new_addr =
-  t.blocks <-
-    List.map (fun (a, newest) -> if a = old_addr then (new_addr, newest) else (a, newest)) t.blocks;
-  t.seals <- List.map (fun (a, s) -> if a = old_addr then (new_addr, s) else (a, s)) t.seals
+  let index =
+    match t.index with
+    | Some index -> index
+    | None ->
+      let by_addr l =
+        let tbl = Hashtbl.create (List.length l) in
+        List.iter (fun p -> Hashtbl.replace tbl p.addr p) l;
+        tbl
+      in
+      let index = { at_block = by_addr t.blocks; at_seal = by_addr t.seals } in
+      t.index <- Some index;
+      index
+  in
+  let move tbl =
+    match Hashtbl.find_opt tbl old_addr with
+    | Some p ->
+      Hashtbl.remove tbl old_addr;
+      p.addr <- new_addr;
+      Hashtbl.replace tbl new_addr p;
+      true
+    | None -> false
+  in
+  if not (move index.at_block) then ignore (move index.at_seal)
 
 (* ------------------------------------------------------------------ *)
 (* Verification                                                        *)
@@ -371,7 +409,7 @@ let recover t =
         match decode_seal b with
         | Some s ->
           Log.mark_live t.log addr Tag.Audit;
-          t.seals <- (addr, s) :: t.seals
+          t.seals <- { addr; v = s } :: t.seals
         | None -> (
           match decode_block_chained b with
           | Some ([], _) -> ()
@@ -379,18 +417,20 @@ let recover t =
             let newest = List.fold_left (fun acc r -> max acc r.at) 0L rs in
             Log.mark_live t.log addr Tag.Audit;
             t.nrecords <- t.nrecords + List.length rs;
-            t.blocks <- (addr, newest) :: t.blocks;
+            t.blocks <- { addr; v = newest } :: t.blocks;
             record_blocks := (chain, rs) :: !record_blocks
           | None -> ()))
       | _ -> ())
     (Log.all_tagged t.log);
-  t.blocks <- List.sort (fun (_, a) (_, b) -> compare b a) t.blocks;
+  t.blocks <- List.sort (fun a b -> compare b.v a.v) t.blocks;
   t.seals <-
     List.sort
-      (fun (_, (a : Chain.seal)) (_, b) -> compare b.Chain.s_head.Chain.epoch a.Chain.s_head.Chain.epoch)
+      (fun { v = (a : Chain.seal); _ } { v = b; _ } ->
+        compare b.Chain.s_head.Chain.epoch a.Chain.s_head.Chain.epoch)
       t.seals;
+  t.index <- None;
   (match t.seals with
-   | (_, s) :: _ -> t.last_seal <- s.Chain.s_head
+   | { v = s; _ } :: _ -> t.last_seal <- s.Chain.s_head
    | [] -> ());
   (* Rebuild the running head by replaying the chained blocks in index
      order. Anomalies (gaps, mismatched priors — verification's job to
@@ -427,9 +467,9 @@ let recover t =
   (* Same monotonicity guard as Obj_store.recover: recovered audit
      records may postdate the barrier clock a file-backed restart
      resumed from. *)
-  let tmax = List.fold_left (fun acc (_, newest) -> max acc newest) Int64.min_int t.blocks in
+  let tmax = List.fold_left (fun acc p -> max acc p.v) Int64.min_int t.blocks in
   let tmax =
-    List.fold_left (fun acc (_, (s : Chain.seal)) -> max acc s.Chain.s_at) tmax t.seals
+    List.fold_left (fun acc { v = (s : Chain.seal); _ } -> max acc s.Chain.s_at) tmax t.seals
   in
   let clock = Log.clock t.log in
   if Int64.compare tmax (Simclock.now clock) >= 0 then

@@ -1,5 +1,4 @@
 module Rpc = S4.Rpc
-module Lru = S4_store.Lru
 module Metrics = S4_obs.Metrics
 
 (* The credential is part of the key: the server ACL-checks per
@@ -16,6 +15,13 @@ type key =
     }
   | K_attr of { user : int; admin : bool; oid : int64; at : int64 option }
 
+module Lru = S4_store.Lru.Make (struct
+  type t = key
+
+  let equal = ( = )
+  let hash = Hashtbl.hash
+end)
+
 type event =
   | Grant of { key : key; expiry : int64; now : int64 }
   | Hit of { key : key; now : int64 }
@@ -25,7 +31,7 @@ type event =
 type entry = { resp : Rpc.resp; expiry : int64 }
 
 type t = {
-  lru : (key, entry) Lru.t;
+  lru : entry Lru.t;
   journal : bool;
   mutable events : event list; (* newest first *)
   mutable observed_now : int64;

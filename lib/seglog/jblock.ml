@@ -4,9 +4,10 @@ type entry = { oid : int64; seq : int; time : int64; kind : int; payload : Bytes
 
 let magic = 0x424A (* "JB" *)
 
-let entry_size e =
-  let n = Bytes.length e.payload in
-  8 + Bcodec.varint_size e.seq + 8 + 1 + Bcodec.varint_size n + n
+let encoded_size ~seq ~payload_len =
+  8 + Bcodec.varint_size seq + 8 + 1 + Bcodec.varint_size payload_len + payload_len
+
+let entry_size e = encoded_size ~seq:e.seq ~payload_len:(Bytes.length e.payload)
 
 (* magic(2) + prev(8) + count(up to 3) + crc(4) *)
 let header_size = 2 + 8 + 3 + 4

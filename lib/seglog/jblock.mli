@@ -20,6 +20,11 @@ type entry = {
 val entry_size : entry -> int
 (** Encoded size of one entry, bytes. *)
 
+val encoded_size : seq:int -> payload_len:int -> int
+(** [entry_size] of an entry with this [seq] and a payload of
+    [payload_len] bytes, for callers that size an entry before encoding
+    its payload. *)
+
 val header_size : int
 (** Fixed per-block overhead (magic, prev pointer, count, CRC). *)
 

@@ -55,7 +55,9 @@ type t = {
   mutable current : int;  (* index into segs of the open segment; -1 = none yet *)
   mutable frontier : int;  (* next slot in current *)
   mutable flushed : int;  (* slots of current already on disk *)
-  pending : (addr, Bytes.t option) Hashtbl.t;  (* buffered contents *)
+  pending : Bytes.t option array;
+      (* buffered contents of slots [flushed, frontier) of current, by
+         slot; [None] is a block written without contents *)
   mutable epoch_counter : int;
   mutable rotor : int;  (* next segment index to try *)
   mutable live_total : int;
@@ -174,7 +176,7 @@ let create ?(block_size = 4096) ?(blocks_per_segment = 128) ?(auto_reclaim = tru
       current = 0;
       frontier = 0;
       flushed = 0;
-      pending = Hashtbl.create 256;
+      pending = Array.make usable None;
       epoch_counter = 0;
       rotor = 0;
       live_total = 0;
@@ -258,9 +260,8 @@ let flush_buffered t =
     let sg = t.segs.(t.current) in
     for slot = t.flushed to t.frontier - 1 do
       let addr = addr_of t ~seg:sg.index ~slot in
-      let data = Option.join (Hashtbl.find_opt t.pending addr) in
-      disk_write t ~addr ?data ();
-      Hashtbl.remove t.pending addr;
+      disk_write t ~addr ?data:t.pending.(slot) ();
+      t.pending.(slot) <- None;
       t.flushed <- slot + 1;
       t.s.blocks_flushed <- t.s.blocks_flushed + 1
     done;
@@ -319,14 +320,16 @@ let append_inner t tag ?data () =
   sg.live <- sg.live + 1;
   sg.written <- sg.written + 1;
   t.live_total <- t.live_total + 1;
-  Hashtbl.replace t.pending addr data;
+  t.pending.(slot) <- data;
   t.frontier <- t.frontier + 1;
   t.s.appends <- t.s.appends + 1;
-  (* The block is placed and its address final, so a full log must not
-     fail this append: the filled segment is closed either way, and
-     with no segment free the next append refuses before placing
-     anything. *)
-  if t.frontier = t.usable then (try close_segment t with Log_full -> ());
+  (* The block is placed and its address final, so nothing may fail
+     this append now. A full log closes the filled segment either way,
+     and with no segment free the next append refuses before placing
+     anything. A media fault leaves the segment open and full: the
+     next append completes the close before placing its block, and
+     [sync] retries the flush, so the fault surfaces there. *)
+  if t.frontier = t.usable then (try close_segment t with Log_full | Fault.Write_fault _ -> ());
   addr
 
 let append t tag ?data () =
@@ -350,17 +353,27 @@ let read_superblock t =
   disk_read t ~addr:0 ~blocks:1;
   Sim_disk.peek t.disk ~lba:0 ~sectors:t.spb
 
+(* Whether [addr] is still in the write buffer: a slot of the open
+   segment at or past [flushed] and below [frontier]. *)
+let buffered t addr =
+  t.current >= 0
+  && seg_of t addr = t.current
+  &&
+  let slot = slot_of t addr in
+  slot >= t.flushed && slot < t.frontier
+
 let peek t addr =
   check_addr t addr;
-  match Hashtbl.find_opt t.pending addr with
-  | Some (Some data) -> Bytes.copy data
-  | Some None -> Bytes.make t.block_size '\000'
-  | None -> Sim_disk.peek t.disk ~lba:(lba_of t addr) ~sectors:t.spb
+  if buffered t addr then
+    match t.pending.(slot_of t addr) with
+    | Some data -> Bytes.copy data
+    | None -> Bytes.make t.block_size '\000'
+  else Sim_disk.peek t.disk ~lba:(lba_of t addr) ~sectors:t.spb
 
 (* Charge a timed read of one block; a block still buffered is free. *)
 let charge_read t addr =
   check_addr t addr;
-  if not (Hashtbl.mem t.pending addr) then disk_read t ~addr ~blocks:1
+  if not (buffered t addr) then disk_read t ~addr ~blocks:1
 
 let read t addr =
   traced t "read" ~bytes:t.block_size (fun () ->

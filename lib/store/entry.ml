@@ -148,7 +148,27 @@ let to_jentry t =
     payload = encode_payload t.op;
   }
 
-let size t = Jblock.entry_size (to_jentry t)
+(* [encode_payload]'s length, from varint sizes alone. *)
+let payload_size op =
+  let v = Bcodec.varint_size in
+  let addr a = v (a + 1) in
+  let bytes b = v (Bytes.length b) + Bytes.length b in
+  let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l in
+  match op with
+  | Create -> 0
+  | Write { off; len; old_size; new_size; blocks } ->
+    v off + v len + v old_size + v new_size + v (List.length blocks)
+    + sum (fun (fblock, nw, old) -> v fblock + addr nw + addr old) blocks
+  | Truncate { old_size; new_size; freed } ->
+    v old_size + v new_size + v (List.length freed) + sum (fun (fblock, a) -> v fblock + addr a) freed
+  | Set_attr { old_attr = o; new_attr = n } | Set_acl { old_acl = o; new_acl = n } -> bytes o + bytes n
+  | Delete { old_size } -> v old_size
+  | Checkpoint { addrs } -> v (List.length addrs) + sum addr addrs
+  | Relocate { moves } ->
+    v (List.length moves) + sum (fun (fblock, from_, to_) -> v (fblock + 1) + addr from_ + addr to_) moves
+
+(* [Jblock.entry_size (to_jentry t)], without encoding the payload. *)
+let size t = Jblock.encoded_size ~seq:t.seq ~payload_len:(payload_size t.op)
 
 let superseded_blocks = function
   | Create | Set_attr _ | Set_acl _ | Delete _ | Checkpoint _ | Relocate _ -> []

@@ -1,40 +1,63 @@
-(** Generic LRU cache with a cost budget.
+(** LRU cache with a cost budget, over a key with its own equality and
+    hash.
 
     Entries carry an integer cost (bytes, typically); inserting past
     the budget evicts least-recently-used entries, invoking the
     eviction callback (used by the object cache to checkpoint dirty
-    metadata before it leaves memory). *)
+    metadata before it leaves memory). Touching an entry allocates
+    nothing; only inserting a new key allocates its node. *)
 
-type ('k, 'v) t
+module type KEY = sig
+  type t
 
-val create : ?on_evict:('k -> 'v -> unit) -> budget:int -> unit -> ('k, 'v) t
-val budget : ('k, 'v) t -> int
-val cost : ('k, 'v) t -> int
-(** Sum of costs of resident entries. *)
+  val equal : t -> t -> bool
+  val hash : t -> int
+  (** Any int; the table mixes it before picking a bucket, so the
+      identity is a good hash for addresses and object ids. *)
+end
 
-val length : ('k, 'v) t -> int
-val mem : ('k, 'v) t -> 'k -> bool
-val find : ('k, 'v) t -> 'k -> 'v option
-(** Touches the entry (moves it to most-recent). *)
+module Make (K : KEY) : sig
+  type key = K.t
+  type 'v t
 
-val peek : ('k, 'v) t -> 'k -> 'v option
-(** No touch. *)
+  val create : ?on_evict:(key -> 'v -> unit) -> budget:int -> unit -> 'v t
+  val budget : 'v t -> int
 
-val insert : ('k, 'v) t -> 'k -> 'v -> cost:int -> unit
-(** Adds or replaces; evicts LRU entries until within budget. An entry
-    larger than the whole budget is still admitted alone. *)
+  val cost : 'v t -> int
+  (** Sum of costs of resident entries. *)
 
-val remove : ('k, 'v) t -> 'k -> unit
-(** Removes without invoking the eviction callback. *)
+  val length : 'v t -> int
+  val mem : 'v t -> key -> bool
 
-val clear : ('k, 'v) t -> unit
-(** Drops everything without invoking the eviction callback. *)
+  val find : 'v t -> key -> 'v option
+  (** Touches the entry (moves it to most-recent). *)
 
-val flush : ('k, 'v) t -> unit
-(** Invokes the eviction callback on everything, then drops it. *)
+  val find_exn : 'v t -> key -> 'v
+  (** [find] without the option cell: raises [Not_found] on a miss,
+      which counts as one. *)
 
-val hits : ('k, 'v) t -> int
-val misses : ('k, 'v) t -> int
-(** [find] result counters. *)
+  val peek : 'v t -> key -> 'v option
+  (** No touch. *)
 
-val iter : ('k, 'v) t -> ('k -> 'v -> unit) -> unit
+  val insert : 'v t -> key -> 'v -> cost:int -> unit
+  (** Adds or replaces; evicts LRU entries until within budget. An
+      entry larger than the whole budget is still admitted alone. *)
+
+  val remove : 'v t -> key -> unit
+  (** Removes without invoking the eviction callback. *)
+
+  val clear : 'v t -> unit
+  (** Drops everything without invoking the eviction callback. *)
+
+  val flush : 'v t -> unit
+  (** Invokes the eviction callback on everything, least recent first,
+      then drops it. *)
+
+  val hits : 'v t -> int
+
+  val misses : 'v t -> int
+  (** [find] result counters. *)
+
+  val iter : 'v t -> (key -> 'v -> unit) -> unit
+  (** Most recent first. [f] must not modify the cache. *)
+end

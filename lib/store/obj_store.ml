@@ -8,6 +8,20 @@ module Trace = S4_obs.Trace
 type oid = int64
 type addr = int
 
+module Bcache = Lru.Make (struct
+  type t = addr
+
+  let equal = Int.equal
+  let hash a = a
+end)
+
+module Ocache = Lru.Make (struct
+  type t = oid
+
+  let equal = Int64.equal
+  let hash = Int64.to_int
+end)
+
 exception No_such_object of oid
 exception Is_deleted of oid
 
@@ -81,8 +95,8 @@ type t = {
   log : Log.t;
   cfg : config;
   objects : (oid, obj) Hashtbl.t;
-  bcache : (addr, Bytes.t option) Lru.t;
-  mutable ocache : (oid, unit) Lru.t;
+  bcache : Bytes.t option Bcache.t;
+  mutable ocache : unit Ocache.t;
   mutable pending : rentry list;  (* reverse chronological *)
   jrefs : (addr, int ref) Hashtbl.t;
   jback : (addr, rentry list ref) Hashtbl.t;  (* journal block -> resident entries *)
@@ -123,7 +137,7 @@ let table_set obj i a =
 let zeros t = Bytes.make (bs t) '\000'
 
 let cache_block t a content =
-  Lru.insert t.bcache a (if t.cfg.keep_data then content else None) ~cost:(bs t)
+  Bcache.insert t.bcache a (if t.cfg.keep_data then content else None) ~cost:(bs t)
 
 (* The one block read path. A hit is free; a miss charges one
    read-ahead run and caches every block of it. The charges and cache
@@ -132,9 +146,9 @@ let cache_block t a content =
    caller there uses no contents. [None] in a content-retaining store
    is a block cached as zeros. *)
 let block t a =
-  match Lru.find t.bcache a with
-  | Some content -> content
-  | None ->
+  match Bcache.find_exn t.bcache a with
+  | content -> content
+  | exception Not_found ->
     let k = Log.read_run t.log a t.cfg.readahead_blocks in
     let fetch a = if t.cfg.keep_data then Some (Log.peek t.log a) else None in
     let first = fetch a in
@@ -169,12 +183,19 @@ let jref_put t jaddr re =
     end
   | None -> ()
 
+(* The first [n] elements of [l] dropped. *)
+let rec drop n l = match l with _ :: rest when n > 0 -> drop (n - 1) rest | _ -> l
+
+(* Entries leave [pending] only once their block is appended: a full
+   log or a media fault part-way through a multi-block flush keeps
+   every entry not yet in an appended block pending, and the error
+   still reaches the caller. *)
 let flush_journal t =
   match t.pending with
   | [] -> ()
   | pending ->
     let chronological = List.rev pending in
-    t.pending <- [];
+    let written = ref 0 in
     let block_size = bs t in
     (* Each entry is encoded once, when it is sized; the group keeps
        that form for its block. *)
@@ -188,7 +209,8 @@ let flush_journal t =
         List.iter
           (fun (re, _) ->
             re.jaddr <- jaddr;
-            jref_get t jaddr re)
+            jref_get t jaddr re;
+            incr written)
           group;
         t.last_jaddr <- jaddr;
         t.s.journal_blocks_written <- t.s.journal_blocks_written + 1
@@ -206,8 +228,14 @@ let flush_journal t =
       group := (re, je) :: !group;
       group_size := !group_size + sz
     in
-    List.iter add chronological;
-    emit !group
+    match
+      List.iter add chronological;
+      emit !group
+    with
+    | () -> t.pending <- []
+    | exception e ->
+      t.pending <- List.rev (drop !written chronological);
+      raise e
 
 let push_entry t obj op =
   obj.o_seq <- obj.o_seq + 1;
@@ -222,7 +250,7 @@ let push_entry t obj op =
 let kill_block_raw t a =
   if a <> Log.none then begin
     Log.kill t.log a;
-    Lru.remove t.bcache a;
+    Bcache.remove t.bcache a;
     t.s.blocks_expired <- t.s.blocks_expired + 1
   end
 
@@ -356,12 +384,14 @@ let release_ckpt t obj =
    | addrs -> List.iter (kill_block_raw t) addrs);
   obj.o_ckpt_addrs <- []
 
-(* Flush pending small images into pack blocks. *)
+(* Flush pending small images into pack blocks. Like journal entries,
+   images leave [cpending] only once their pack is appended. *)
 let flush_cpack t =
   match t.cpending with
   | [] -> ()
   | pend ->
-    t.cpending <- [];
+    let chronological = List.rev pend in
+    let written = ref 0 in
     let block_size = bs t in
     let budget = block_size - 16 in
     let entry_size image = 8 + 4 + Bytes.length image + 4 in
@@ -377,24 +407,31 @@ let flush_cpack t =
         List.iter
           (fun (obj, _, _) ->
             release_ckpt t obj;
-            obj.o_ckpt_addrs <- [ a ])
+            obj.o_ckpt_addrs <- [ a ];
+            incr written)
           group;
         t.s.checkpoint_blocks_written <- t.s.checkpoint_blocks_written + 1
     in
     let group = ref [] in
     let used = ref 0 in
-    List.iter
-      (fun ((_, image, _) as item) ->
-        let sz = entry_size image in
-        if !used + sz > budget && !group <> [] then begin
-          emit (List.rev !group);
-          group := [];
-          used := 0
-        end;
-        group := item :: !group;
-        used := !used + sz)
-      (List.rev pend);
-    emit (List.rev !group)
+    match
+      List.iter
+        (fun ((_, image, _) as item) ->
+          let sz = entry_size image in
+          if !used + sz > budget && !group <> [] then begin
+            emit (List.rev !group);
+            group := [];
+            used := 0
+          end;
+          group := item :: !group;
+          used := !used + sz)
+        chronological;
+      emit (List.rev !group)
+    with
+    | () -> t.cpending <- []
+    | exception e ->
+      t.cpending <- List.rev (drop !written chronological);
+      raise e
 
 let checkpoint_object_internal t obj =
   let image = encode_checkpoint t obj in
@@ -435,9 +472,9 @@ let maybe_checkpoint t obj =
 let object_cost obj = 256 + (8 * Array.length obj.o_table)
 
 let touch_object t obj =
-  match Lru.find t.ocache obj.o_oid with
-  | Some () -> ()
-  | None ->
+  match Ocache.find_exn t.ocache obj.o_oid with
+  | () -> ()
+  | exception Not_found ->
     (* Metadata fault: read the checkpoint image and the journal blocks
        written since (bounded; they are usually cached). *)
     List.iter (fun a -> ignore (block t a)) obj.o_ckpt_addrs;
@@ -451,7 +488,7 @@ let touch_object t obj =
           ignore (block t re.jaddr)
         end)
       obj.o_entries;
-    Lru.insert t.ocache obj.o_oid () ~cost:(object_cost obj)
+    Ocache.insert t.ocache obj.o_oid () ~cost:(object_cost obj)
 
 let find_obj t oid =
   match Hashtbl.find_opt t.objects oid with
@@ -477,8 +514,8 @@ let create ?(config = default_config) log =
       log;
       cfg = config;
       objects = Hashtbl.create 1024;
-      bcache = Lru.create ~budget:config.block_cache_bytes ();
-      ocache = Lru.create ~budget:config.object_cache_bytes ();
+      bcache = Bcache.create ~budget:config.block_cache_bytes ();
+      ocache = Ocache.create ~budget:config.object_cache_bytes ();
       pending = [];
       jrefs = Hashtbl.create 1024;
       jback = Hashtbl.create 1024;
@@ -494,7 +531,7 @@ let create ?(config = default_config) log =
   (* Wire the eviction callback now that [t] exists: dirty metadata is
      checkpointed to the log before leaving the object cache. *)
   t.ocache <-
-    Lru.create ~budget:config.object_cache_bytes
+    Ocache.create ~budget:config.object_cache_bytes
       ~on_evict:(fun oid () ->
         match Hashtbl.find_opt t.objects oid with
         | Some obj when obj.o_dirty > 0 && obj.o_exists -> checkpoint_object_internal t obj
@@ -518,10 +555,10 @@ let probe =
       (fun tok t oid bytes ->
         Trace.set_oid tok oid;
         Trace.set_bytes tok bytes;
-        (Lru.hits t.bcache, Lru.misses t.bcache));
+        (Bcache.hits t.bcache, Bcache.misses t.bcache));
     closed =
       (fun tok t _ _ (h0, m0) _ ->
-        Trace.add_cache tok ~hits:(Lru.hits t.bcache - h0) ~misses:(Lru.misses t.bcache - m0));
+        Trace.add_cache tok ~hits:(Bcache.hits t.bcache - h0) ~misses:(Bcache.misses t.bcache - m0));
   }
 
 (* A public entry point's body [f t oid bytes], in a span naming [oid]
@@ -563,7 +600,7 @@ let create_object_inner t =
   in
   Hashtbl.replace t.objects oid obj;
   push_entry t obj Entry.Create;
-  Lru.insert t.ocache oid () ~cost:(object_cost obj);
+  Ocache.insert t.ocache oid () ~cost:(object_cost obj);
   t.s.ops <- t.s.ops + 1;
   oid
 
@@ -1090,7 +1127,7 @@ let import_history t (x : export) =
         obj.o_exists <- false;
         import_entry t obj ~seq:xe.x_seq ~time:xe.x_time (Entry.Delete { old_size }))
     x.x_entries;
-  Lru.insert t.ocache x.x_oid () ~cost:(object_cost obj);
+  Ocache.insert t.ocache x.x_oid () ~cost:(object_cost obj);
   maybe_checkpoint t obj
 
 let forget_object t oid =
@@ -1109,7 +1146,7 @@ let forget_object t oid =
   release_ckpt t obj;
   t.cpending <- List.filter (fun (o, _, _) -> o != obj) t.cpending;
   Hashtbl.remove t.objects oid;
-  Lru.remove t.ocache oid;
+  Ocache.remove t.ocache oid;
   t.s.objects_expired <- t.s.objects_expired + 1
 
 (* ------------------------------------------------------------------ *)
@@ -1148,7 +1185,7 @@ let expire_object t obj ~cutoff =
       release_ckpt t obj;
       t.cpending <- List.filter (fun (o, _, _) -> o != obj) t.cpending;
       Hashtbl.remove t.objects obj.o_oid;
-      Lru.remove t.ocache obj.o_oid;
+      Ocache.remove t.ocache obj.o_oid;
       t.s.objects_expired <- t.s.objects_expired + 1
     end
     else begin
@@ -1438,21 +1475,14 @@ let recover ?(config = default_config) log =
 (* ------------------------------------------------------------------ *)
 (* Segment compaction (cleaner mechanism)                              *)
 
-(* Rewrite every reference this object holds to [from_] so it points at
-   [to_]: the block table, and the old/new pointers of every retained
-   journal entry (including still-pending ones, so the on-disk journal
-   is written with final addresses). *)
-let rewrite_refs obj ~from_ ~to_ =
-  for i = 0 to Array.length obj.o_table - 1 do
-    if obj.o_table.(i) = from_ then obj.o_table.(i) <- to_
-  done;
-  let f a = if a = from_ then to_ else a in
-  List.iter
-    (fun re ->
-      let op = Entry.remap f re.e.Entry.op in
-      if op != re.e.Entry.op then re.e <- { re.e with Entry.op = op })
-    obj.o_entries
-
+(* Relocation costs each moved block a constant amount of work:
+   - a moved data block's table slot is the one its tag names ([check]
+     holds table slot i to blocks tagged [fblock = i]), so the table is
+     fixed at move time;
+   - the old/new pointers of the owners' retained journal entries
+     (still-pending ones included, so the on-disk journal is written
+     with final addresses) are remapped once per segment, through the
+     segment's from -> to map, before anything else reads them. *)
 let compact_segment t ~seg ?(on_audit_move = fun _ _ -> ()) () =
   let log = t.log in
   let infos = Log.segments log in
@@ -1474,6 +1504,31 @@ let compact_segment t ~seg ?(on_audit_move = fun _ _ -> ()) () =
         | Some l -> l := (fb, from_, to_) :: !l
         | None -> Hashtbl.replace relocations oid (ref [ (fb, from_, to_) ])
       in
+      (* [moved_to.(a - first)] is where data victim [a] went. *)
+      let moved_to = Array.make (last - first + 1) Log.none in
+      let unmapped = ref false in
+      let remap a =
+        if a < first || a > last then a
+        else
+          let m = moved_to.(a - first) in
+          if m = Log.none then a else m
+      in
+      let remap_entries () =
+        if !unmapped then begin
+          unmapped := false;
+          Hashtbl.iter
+            (fun oid _ ->
+              match Hashtbl.find_opt t.objects oid with
+              | Some obj ->
+                List.iter
+                  (fun re ->
+                    let op = Entry.remap remap re.e.Entry.op in
+                    if op != re.e.Entry.op then re.e <- { re.e with Entry.op = op })
+                  obj.o_entries
+              | None -> ())
+            relocations
+        end
+      in
       let move_block ?(force_data = false) addr tag =
         (* Metadata streams (journal, checkpoints, audit) always carry
            real on-disk content, even in timing-only mode. *)
@@ -1482,22 +1537,36 @@ let compact_segment t ~seg ?(on_audit_move = fun _ _ -> ()) () =
         in
         let fresh = Log.append log tag ?data:content () in
         Log.kill log addr;
-        Lru.remove t.bcache addr;
+        Bcache.remove t.bcache addr;
         cache_block t fresh content;
         incr moved;
         fresh
+      in
+      (* The owner of the current run of data victims, looked up once
+         per run. *)
+      let run_oid = ref 0L and run_owner = ref None in
+      let owner oid =
+        match !run_owner with
+        | Some _ as o when Int64.equal !run_oid oid -> o
+        | _ ->
+          let o = Hashtbl.find_opt t.objects oid in
+          run_oid := oid;
+          run_owner := o;
+          o
       in
       let handle (addr, tag) =
         if Log.is_live log addr then
           match tag with
           | Tag.Data { oid; fblock } ->
-            (match Hashtbl.find_opt t.objects oid with
+            (match owner oid with
              | None ->
                (* Orphaned block (owner fully expired): just reclaim. *)
                kill_block t addr
              | Some obj ->
                let fresh = move_block addr tag in
-               rewrite_refs obj ~from_:addr ~to_:fresh;
+               if fblock >= 0 && table_get obj fblock = addr then obj.o_table.(fblock) <- fresh;
+               moved_to.(addr - first) <- fresh;
+               unmapped := true;
                note_move oid fblock addr fresh)
           | Tag.Journal ->
             let entries =
@@ -1526,6 +1595,7 @@ let compact_segment t ~seg ?(on_audit_move = fun _ _ -> ()) () =
                (* Rather than moving a checkpoint image, write a fresh
                   one (kills all the old image blocks, wherever they
                   are). *)
+               remap_entries ();
                checkpoint_object_internal t obj;
                incr moved)
           | Tag.Audit ->
@@ -1556,6 +1626,7 @@ let compact_segment t ~seg ?(on_audit_move = fun _ _ -> ()) () =
             kill_block t addr
       in
       List.iter handle victims;
+      remap_entries ();
       Hashtbl.iter
         (fun oid moves ->
           match Hashtbl.find_opt t.objects oid with
@@ -1638,10 +1709,10 @@ let check ?(extra_live = []) t =
   List.rev !errors
 
 let drop_caches t =
-  Lru.clear t.bcache;
-  Lru.clear t.ocache
+  Bcache.clear t.bcache;
+  Ocache.clear t.ocache
 
-let cache_stats t = (Lru.hits t.bcache, Lru.misses t.bcache)
+let cache_stats t = (Bcache.hits t.bcache, Bcache.misses t.bcache)
 
 let pp_stats ppf t =
   let s = t.s in

@@ -651,6 +651,44 @@ let test_full_log_keeps_audit_records () =
     check Alcotest.int "every record readable" count (List.length records)
   | r -> Alcotest.failf "read_audit: %a" Rpc.pp_resp r
 
+(* A media fault in the segment close that follows a placed block must
+   not fail the append that placed it: the audit block is taken, so its
+   records leave the buffer, and the close completes at the next
+   append. Re-flushing those records would write them twice, and the
+   verifier would report overlapping blocks. *)
+let test_fault_in_trailing_close () =
+  let _, disk, d = mk_drive ~mb:16 () in
+  let pol = S4_disk.Fault.create ~config:S4_disk.Fault.quiet (S4_util.Rng.create ~seed:7) in
+  Sim_disk.set_fault disk (Some pol);
+  let oid = expect_oid (Drive.handle d admin (Rpc.Create { acl = [] })) in
+  let log = Drive.log d in
+  let last_slot = Log.blocks_per_segment log - 2 in
+  let open_written () =
+    match List.find_opt (fun i -> i.Log.seg_state = Log.Open) (Array.to_list (Log.segments log)) with
+    | Some i -> i.Log.seg_written
+    | None -> -1
+  in
+  let rec fill i =
+    if i > 2000 then Alcotest.fail "no segment stopped one slot short";
+    if open_written () <> last_slot then begin
+      expect_unit
+        (Drive.handle d admin (Rpc.Write { oid; off = i * 4096; len = 4096; data = Some (Bytes.make 4096 'd') }));
+      fill (i + 1)
+    end
+  in
+  fill 0;
+  S4_disk.Fault.fail_next pol ~writes:1 ~transient:false;
+  ignore (Drive.barrier d);
+  check Alcotest.bool "clean second barrier" true (Drive.barrier d = None);
+  (match Drive.handle d admin (Rpc.Verify_log { from = None }) with
+   | Rpc.R_verify v ->
+     check Alcotest.(list string) "verify clean" [] v.S4_integrity.Chain.v_errors
+   | r -> Alcotest.failf "verify: %a" Rpc.pp_resp r);
+  let count = Audit.record_count (Drive.audit d) in
+  match Drive.handle d admin (Rpc.Read_audit { since = 0L; until = Int64.max_int }) with
+  | Rpc.R_audit records -> check Alcotest.int "every record once" count (List.length records)
+  | r -> Alcotest.failf "read_audit: %a" Rpc.pp_resp r
+
 (* Erase everything past the log's reserved first segment, keeping the
    superblock in it: the log area of a wiped image. *)
 let wipe_log_area disk =
@@ -755,6 +793,7 @@ let () =
             test_refused_writes_write_nothing;
           Alcotest.test_case "negative oid answers bad_request" `Quick
             test_negative_oid_is_bad_request;
+          Alcotest.test_case "a fault in the trailing segment close" `Quick test_fault_in_trailing_close;
           Alcotest.test_case "a full log keeps every audit record" `Quick
             test_full_log_keeps_audit_records;
           Alcotest.test_case "an off-chain device anchor fails closed" `Quick

@@ -60,6 +60,40 @@ let test_entry_remap () =
   | Entry.Write { blocks = [ (0, 99, 5) ]; _ } -> ()
   | _ -> Alcotest.fail "remap failed"
 
+(* [Entry.size] sizes an entry without encoding it; it must agree with
+   the encoded form's size, or Fig. 2's journal bytes would move. *)
+let prop_entry_size_matches_encoding =
+  let gen =
+    QCheck.Gen.(
+      let addr = int_range (-1) 3_000_000 in
+      let n = int_bound 1_000_000 in
+      let blob = map Bytes.of_string (string_size (int_bound 300)) in
+      let op =
+        oneof
+          [
+            return Entry.Create;
+            map2
+              (fun (off, len, old_size, new_size) blocks -> Entry.Write { off; len; old_size; new_size; blocks })
+              (quad n n n n)
+              (list_size (int_bound 200) (triple (int_bound 5000) addr addr));
+            map2
+              (fun (old_size, new_size) freed -> Entry.Truncate { old_size; new_size; freed })
+              (pair n n)
+              (list_size (int_bound 50) (pair (int_bound 5000) addr));
+            map2 (fun old_attr new_attr -> Entry.Set_attr { old_attr; new_attr }) blob blob;
+            map2 (fun old_acl new_acl -> Entry.Set_acl { old_acl; new_acl }) blob blob;
+            map (fun old_size -> Entry.Delete { old_size }) n;
+            map (fun addrs -> Entry.Checkpoint { addrs }) (list_size (int_bound 20) addr);
+            map
+              (fun moves -> Entry.Relocate { moves })
+              (list_size (int_bound 127) (triple (int_range (-1) 5000) addr addr));
+          ]
+      in
+      map2 (fun seq op -> { Entry.oid = 7L; seq; time = 1L; op }) (int_bound 100_000_000) op)
+  in
+  QCheck.Test.make ~name:"entry size matches its encoding" ~count:500 (QCheck.make gen) (fun e ->
+      Entry.size e = S4_seglog.Jblock.entry_size (Entry.to_jentry e))
+
 (* --- Basic object operations ---------------------------------------- *)
 
 let test_create_read_write () =
@@ -567,6 +601,60 @@ let test_recover_after_compaction () =
         (read_str st2 oid ~off:0 ~len:100))
     oids
 
+(* A sync refused by a full log keeps what it could not write: once
+   expiry frees space, the next sync writes it and recovery sees the
+   last version of the overwritten block. 582 overwrites leave three
+   free slots, so the refused sync writes the pending checkpoint pack
+   and two journal blocks of a five-block flush before it meets the
+   full log; 585 leave none, so its pack flush is refused. The final
+   sync lands in a segment reclaimed by the expiry, and recovery would
+   read that segment's summary from its previous use, so the test
+   fills the segment until it closes before recovering. *)
+let full_log_keeps_pending overwrites () =
+  let clock, disk, log, st = mk ~mb:4 () in
+  let doomed = Store.create_object st in
+  Store.write st doomed ~off:0 ~len:(300 * 4096) ();
+  Store.sync st;
+  tick clock;
+  Store.delete_object st doomed;
+  Store.sync st;
+  tick clock;
+  let oid = Store.create_object st in
+  let version i = Printf.sprintf "v%04d" i in
+  write_str st oid ~off:0 (version 0);
+  Store.sync st;
+  for i = 1 to overwrites do
+    tick clock;
+    write_str st oid ~off:0 (version i)
+  done;
+  let packs = (Store.stats st).Store.checkpoint_blocks_written in
+  (match Store.sync st with
+   | () -> Alcotest.fail "sync should meet a full log"
+   | exception Log.Log_full -> ());
+  tick clock;
+  Store.expire_one st doomed ~cutoff:(Simclock.now clock);
+  Store.sync st;
+  check Alcotest.bool "checkpoint pack written" true
+    ((Store.stats st).Store.checkpoint_blocks_written > packs);
+  let open_segment () =
+    List.find_opt (fun i -> i.Log.seg_state = Log.Open) (Array.to_list (Log.segments log))
+  in
+  let filler = Store.create_object st in
+  (match open_segment () with
+   | None -> ()
+   | Some reopened ->
+     let rec fill n =
+       if (Log.segments log).(reopened.Log.seg_index).Log.seg_state = Log.Open then begin
+         Store.write st filler ~off:(n * 4096) ~len:4096 ();
+         Store.sync st;
+         fill (n + 1)
+       end
+     in
+     fill 0);
+  let st2 = Store.recover (Log.reattach disk) in
+  check Alcotest.string "last version recovered" (version overwrites) (read_str st2 oid ~off:0 ~len:5);
+  check Alcotest.int "every write journaled" (overwrites + 2) (List.length (Store.journal st2 oid))
+
 let test_recover_oid_counter () =
   let _, disk, _, st = mk () in
   let a = Store.create_object st in
@@ -865,6 +953,7 @@ let () =
           Alcotest.test_case "roundtrips" `Quick test_entry_roundtrips;
           Alcotest.test_case "superseded/new" `Quick test_entry_superseded_and_new;
           Alcotest.test_case "remap" `Quick test_entry_remap;
+          qtest prop_entry_size_matches_encoding;
         ] );
       ( "basic",
         [
@@ -921,6 +1010,8 @@ let () =
           Alcotest.test_case "deleted object" `Quick test_recover_deleted_object;
           Alcotest.test_case "after compaction" `Quick test_recover_after_compaction;
           Alcotest.test_case "oid counter" `Quick test_recover_oid_counter;
+          Alcotest.test_case "full log keeps journal entries" `Quick (full_log_keeps_pending 582);
+          Alcotest.test_case "full log keeps checkpoint images" `Quick (full_log_keeps_pending 585);
         ] );
       ( "checkpoints",
         [

@@ -470,141 +470,233 @@ let test_histogram_merge () =
 (* --- LRU (lives in s4_store but is generic) ------------------------ *)
 
 module Lru = S4_store.Lru
+module Lru_s = Lru.Make (String)
+module Lru_i = Lru.Make (Int)
+
+(* Keys that differ only in their high bits, so every hash lands on a
+   few buckets unless the table mixes it. *)
+module Lru_strided = Lru.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = k lsl 40
+end)
 
 let test_lru_basic () =
-  let c = Lru.create ~budget:3 () in
-  Lru.insert c "a" 1 ~cost:1;
-  Lru.insert c "b" 2 ~cost:1;
-  Lru.insert c "c" 3 ~cost:1;
-  check (Alcotest.option Alcotest.int) "find a" (Some 1) (Lru.find c "a");
-  Lru.insert c "d" 4 ~cost:1;
+  let c = Lru_s.create ~budget:3 () in
+  Lru_s.insert c "a" 1 ~cost:1;
+  Lru_s.insert c "b" 2 ~cost:1;
+  Lru_s.insert c "c" 3 ~cost:1;
+  check (Alcotest.option Alcotest.int) "find a" (Some 1) (Lru_s.find c "a");
+  Lru_s.insert c "d" 4 ~cost:1;
   (* "b" was least recently used ("a" was touched by find). *)
-  check (Alcotest.option Alcotest.int) "b evicted" None (Lru.peek c "b");
-  check (Alcotest.option Alcotest.int) "a kept" (Some 1) (Lru.peek c "a")
+  check (Alcotest.option Alcotest.int) "b evicted" None (Lru_s.peek c "b");
+  check (Alcotest.option Alcotest.int) "a kept" (Some 1) (Lru_s.peek c "a")
 
 let test_lru_eviction_callback () =
   let evicted = ref [] in
-  let c = Lru.create ~on_evict:(fun k v -> evicted := (k, v) :: !evicted) ~budget:2 () in
-  Lru.insert c 1 "one" ~cost:1;
-  Lru.insert c 2 "two" ~cost:1;
-  Lru.insert c 3 "three" ~cost:1;
+  let c = Lru_i.create ~on_evict:(fun k v -> evicted := (k, v) :: !evicted) ~budget:2 () in
+  Lru_i.insert c 1 "one" ~cost:1;
+  Lru_i.insert c 2 "two" ~cost:1;
+  Lru_i.insert c 3 "three" ~cost:1;
   check (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.string)) "evicted 1" [ (1, "one") ] !evicted
 
 let test_lru_cost_accounting () =
-  let c = Lru.create ~budget:10 () in
-  Lru.insert c "x" 0 ~cost:4;
-  Lru.insert c "y" 0 ~cost:4;
-  check Alcotest.int "cost" 8 (Lru.cost c);
-  Lru.insert c "x" 0 ~cost:6;
+  let c = Lru_s.create ~budget:10 () in
+  Lru_s.insert c "x" 0 ~cost:4;
+  Lru_s.insert c "y" 0 ~cost:4;
+  check Alcotest.int "cost" 8 (Lru_s.cost c);
+  Lru_s.insert c "x" 0 ~cost:6;
   (* replacing x with cost 6: total 10, fits *)
-  check Alcotest.int "replaced cost" 10 (Lru.cost c);
-  Lru.insert c "z" 0 ~cost:5;
-  check Alcotest.bool "evicted to fit" true (Lru.cost c <= 10)
+  check Alcotest.int "replaced cost" 10 (Lru_s.cost c);
+  Lru_s.insert c "z" 0 ~cost:5;
+  check Alcotest.bool "evicted to fit" true (Lru_s.cost c <= 10)
 
 let test_lru_oversized_entry_tolerated () =
-  let c = Lru.create ~budget:4 () in
-  Lru.insert c "big" 0 ~cost:100;
-  check Alcotest.int "still resident" 1 (Lru.length c);
-  Lru.insert c "small" 0 ~cost:1;
-  check Alcotest.bool "big evicted for small" true (Lru.peek c "big" = None)
+  let c = Lru_s.create ~budget:4 () in
+  Lru_s.insert c "big" 0 ~cost:100;
+  check Alcotest.int "still resident" 1 (Lru_s.length c);
+  Lru_s.insert c "small" 0 ~cost:1;
+  check Alcotest.bool "big evicted for small" true (Lru_s.peek c "big" = None)
 
 let test_lru_remove_and_clear () =
   let evictions = ref 0 in
-  let c = Lru.create ~on_evict:(fun _ _ -> incr evictions) ~budget:10 () in
-  Lru.insert c 1 () ~cost:1;
-  Lru.insert c 2 () ~cost:1;
-  Lru.remove c 1;
+  let c = Lru_i.create ~on_evict:(fun _ _ -> incr evictions) ~budget:10 () in
+  Lru_i.insert c 1 () ~cost:1;
+  Lru_i.insert c 2 () ~cost:1;
+  Lru_i.remove c 1;
   check Alcotest.int "remove silent" 0 !evictions;
-  Lru.flush c;
+  Lru_i.flush c;
   check Alcotest.int "flush evicts" 1 !evictions;
-  check Alcotest.int "empty" 0 (Lru.length c)
+  check Alcotest.int "empty" 0 (Lru_i.length c)
 
 let test_lru_hits_misses () =
-  let c = Lru.create ~budget:10 () in
-  Lru.insert c 1 () ~cost:1;
-  ignore (Lru.find c 1);
-  ignore (Lru.find c 2);
-  check Alcotest.int "hits" 1 (Lru.hits c);
-  check Alcotest.int "misses" 1 (Lru.misses c)
+  let c = Lru_i.create ~budget:10 () in
+  Lru_i.insert c 1 () ~cost:1;
+  ignore (Lru_i.find c 1);
+  ignore (Lru_i.find c 2);
+  (match Lru_i.find_exn c 3 with
+   | () -> Alcotest.fail "find_exn of an absent key"
+   | exception Not_found -> ());
+  Lru_i.find_exn c 1;
+  check Alcotest.int "hits" 2 (Lru_i.hits c);
+  check Alcotest.int "misses" 2 (Lru_i.misses c)
 
 let prop_lru_never_exceeds_budget_with_unit_costs =
   QCheck.Test.make ~name:"lru respects budget" ~count:100
     QCheck.(list (pair small_nat bool))
     (fun ops ->
-      let c = Lru.create ~budget:8 () in
+      let c = Lru_i.create ~budget:8 () in
       List.iter
-        (fun (k, ins) -> if ins then Lru.insert c k () ~cost:1 else ignore (Lru.find c k))
+        (fun (k, ins) -> if ins then Lru_i.insert c k () ~cost:1 else ignore (Lru_i.find c k))
         ops;
-      Lru.cost c <= 8)
+      Lru_i.cost c <= 8)
+
+(* Past the initial 1,024 buckets the table doubles; every key stays
+   reachable, with or without a hash that needs mixing. *)
+let test_lru_table_growth () =
+  let n = 10_000 in
+  let c = Lru_i.create ~budget:max_int () and c' = Lru_strided.create ~budget:max_int () in
+  for k = 0 to n - 1 do
+    Lru_i.insert c (k * 4096) k ~cost:1;
+    Lru_strided.insert c' k k ~cost:1
+  done;
+  for k = 0 to n - 1 do
+    if k mod 2 = 0 then begin
+      Lru_i.remove c (k * 4096);
+      Lru_strided.remove c' k
+    end
+  done;
+  check Alcotest.int "length" (n / 2) (Lru_i.length c);
+  check Alcotest.int "strided length" (n / 2) (Lru_strided.length c');
+  for k = 0 to n - 1 do
+    let expect = if k mod 2 = 0 then None else Some k in
+    if Lru_i.peek c (k * 4096) <> expect || Lru_strided.peek c' k <> expect then
+      Alcotest.failf "key %d" k
+  done
 
 (* Model-based check: the cache must behave exactly like a naive
    MRU-first assoc list with the same eviction rule (evict the tail
    while over budget, but never down to zero entries). Recency order
-   is observed through the eviction callback sequence. *)
+   is observed through the eviction callback sequence, and through
+   [iter], which walks most recent first. Costs reach past the whole
+   budget, and [clear] and [flush] empty the cache without and with
+   callbacks. The strided-hash instance runs the same operations, so
+   bucket collisions cannot change a result. *)
 let prop_lru_matches_model =
   let budget = 6 in
   let arb =
     QCheck.(
       list
-        (triple (int_bound 3) (* 0=insert 1=find 2=peek 3=remove *)
-           (int_bound 7) (* key *)
-           (int_bound 4) (* cost, inserts only *)))
+        (triple
+           (int_bound 19) (* 0-5 insert, 6-9 find, 10-11 find_exn, 12-13 peek, 14-16 remove, 17 clear, 18 flush, 19 mem *)
+           (int_bound 40) (* key *)
+           (int_bound 8) (* cost, inserts only; > budget is oversized *)))
   in
   QCheck.Test.make ~name:"lru matches assoc-list model" ~count:300 arb (fun ops ->
-      let evicted = ref [] in
-      let c = Lru.create ~on_evict:(fun k v -> evicted := (k, v) :: !evicted) ~budget () in
+      let evicted = ref [] and evicted_strided = ref [] in
+      let c = Lru_i.create ~on_evict:(fun k v -> evicted := (k, v) :: !evicted) ~budget () in
+      let c' =
+        Lru_strided.create ~on_evict:(fun k v -> evicted_strided := (k, v) :: !evicted_strided) ~budget ()
+      in
       let model = ref [] in
       (* MRU-first: (key, (value, cost)) *)
       let m_evicted = ref [] in
       let m_hits = ref 0 and m_misses = ref 0 in
       let m_cost () = List.fold_left (fun a (_, (_, c)) -> a + c) 0 !model in
+      let m_evict_tail () =
+        let rec split = function
+          | [ last ] -> ([], last)
+          | x :: rest ->
+            let pre, l = split rest in
+            (x :: pre, l)
+          | [] -> assert false
+        in
+        let pre, (k, (v, _)) = split !model in
+        model := pre;
+        m_evicted := (k, v) :: !m_evicted
+      in
       let m_evict () =
         while m_cost () > budget && List.length !model > 1 do
-          let rec split = function
-            | [ last ] -> ([], last)
-            | x :: rest ->
-              let pre, l = split rest in
-              (x :: pre, l)
-            | [] -> assert false
-          in
-          let pre, (k, (v, _)) = split !model in
-          model := pre;
-          m_evicted := (k, v) :: !m_evicted
+          m_evict_tail ()
         done
       in
       let ok = ref true in
+      let agree a b = if a <> b then ok := false in
       let vcounter = ref 0 in
       List.iter
         (fun (op, k, cost) ->
-          match op with
-          | 0 ->
+          if op <= 5 then begin
             incr vcounter;
             let v = !vcounter in
-            Lru.insert c k v ~cost;
+            Lru_i.insert c k v ~cost;
+            Lru_strided.insert c' k v ~cost;
             model := (k, (v, cost)) :: List.remove_assoc k !model;
             m_evict ()
-          | 1 -> (
-            let r = Lru.find c k in
+          end
+          else if op <= 11 then begin
+            let r, r' =
+              if op <= 9 then (Lru_i.find c k, Lru_strided.find c' k)
+              else
+                ( (try Some (Lru_i.find_exn c k) with Not_found -> None),
+                  try Some (Lru_strided.find_exn c' k) with Not_found -> None )
+            in
+            agree r r';
             match List.assoc_opt k !model with
             | Some (v, cost) ->
               incr m_hits;
               model := (k, (v, cost)) :: List.remove_assoc k !model;
-              if r <> Some v then ok := false
+              agree r (Some v)
             | None ->
               incr m_misses;
-              if r <> None then ok := false)
-          | 2 -> if Lru.peek c k <> Option.map fst (List.assoc_opt k !model) then ok := false
-          | _ ->
-            Lru.remove c k;
-            model := List.remove_assoc k !model)
+              agree r None
+          end
+          else if op <= 13 then begin
+            let expect = Option.map fst (List.assoc_opt k !model) in
+            agree (Lru_i.peek c k) expect;
+            agree (Lru_strided.peek c' k) expect
+          end
+          else if op <= 16 then begin
+            Lru_i.remove c k;
+            Lru_strided.remove c' k;
+            model := List.remove_assoc k !model
+          end
+          else if op = 17 then begin
+            Lru_i.clear c;
+            Lru_strided.clear c';
+            model := []
+          end
+          else if op = 18 then begin
+            Lru_i.flush c;
+            Lru_strided.flush c';
+            while !model <> [] do
+              m_evict_tail ()
+            done
+          end
+          else begin
+            agree (Lru_i.mem c k) (List.mem_assoc k !model);
+            agree (Lru_strided.mem c' k) (List.mem_assoc k !model)
+          end)
         ops;
+      let order iter cache =
+        let l = ref [] in
+        iter cache (fun k v -> l := (k, v) :: !l);
+        List.rev !l
+      in
+      let m_order = List.map (fun (k, (v, _)) -> (k, v)) !model in
       !ok
-      && Lru.cost c = m_cost ()
-      && Lru.length c = List.length !model
-      && Lru.hits c = !m_hits
-      && Lru.misses c = !m_misses
+      && Lru_i.cost c = m_cost ()
+      && Lru_strided.cost c' = m_cost ()
+      && Lru_i.length c = List.length !model
+      && Lru_strided.length c' = List.length !model
+      && Lru_i.hits c = !m_hits
+      && Lru_i.misses c = !m_misses
+      && Lru_strided.hits c' = !m_hits
+      && Lru_strided.misses c' = !m_misses
       && !evicted = !m_evicted
-      && List.for_all (fun (k, (v, _)) -> Lru.peek c k = Some v) !model)
+      && !evicted_strided = !m_evicted
+      && order Lru_i.iter c = m_order
+      && order Lru_strided.iter c' = m_order)
 
 let () =
   Alcotest.run "s4_util"
@@ -680,6 +772,7 @@ let () =
           Alcotest.test_case "oversized entry" `Quick test_lru_oversized_entry_tolerated;
           Alcotest.test_case "remove and clear" `Quick test_lru_remove_and_clear;
           Alcotest.test_case "hits and misses" `Quick test_lru_hits_misses;
+          Alcotest.test_case "table growth" `Quick test_lru_table_growth;
           qtest prop_lru_never_exceeds_budget_with_unit_costs;
           qtest prop_lru_matches_model;
         ] );
