@@ -1349,139 +1349,6 @@ let batch () =
   Report.note "wrote BENCH_batch.json"
 
 (* ------------------------------------------------------------------ *)
-(* Integrity: what sealing the audit chain costs                       *)
-
-(* Chaining itself is always on (a SHA-256 per audit record, CPU only);
-   what the config gates is the per-barrier epoch seal — one extra log
-   block riding the same flush as the records it covers. This sweep
-   prices that seal against the unsealed drive across batch sizes and
-   deployments; group commit amortizes one seal per batch, so the loss
-   shrinks as the batch grows. *)
-let integrity_bench () =
-  Report.heading "Integrity: epoch-seal overhead at the durability barrier (batch 1..64)";
-  let total = if !full_scale then 2048 else 512 in
-  let sizes = [ 1; 2; 4; 8; 16; 32; 64 ] in
-  let payload = Bytes.make 4096 'b' in
-  let cred = Rpc.user_cred ~user:1 ~client:1 in
-  let config ~integrity =
-    { Systems.content_drive_config with Drive.cpu_us_per_rpc = 50.0; integrity }
-  in
-  let mk_drive ~integrity clock =
-    Drive.format ~config:(config ~integrity)
-      (Sim_disk.create ~geometry:Geometry.cheetah_9gb clock)
-  in
-  let run_cell (backend : S4.Backend.t) ~total k =
-    let clock = backend.S4.Backend.clock in
-    let targets =
-      Array.init 8 (fun _ ->
-          match S4.Backend.handle backend cred (Rpc.Create { acl = Acl.default ~owner:1 }) with
-          | Rpc.R_oid oid -> oid
-          | r -> Format.kasprintf failwith "integrity bench: create failed: %a" Rpc.pp_resp r)
-    in
-    let mk_req i =
-      Rpc.Write
-        { oid = targets.(i mod 8); off = 4096 * (i mod 16); len = 4096; data = Some payload }
-    in
-    let t0 = Simclock.now clock in
-    let done_ = ref 0 in
-    let wall_s, () =
-      wall (fun () ->
-          while !done_ < total do
-            let n = min k (total - !done_) in
-            let reqs = Array.init n (fun j -> mk_req (!done_ + j)) in
-            let resps = backend.S4.Backend.submit cred ~sync:true reqs in
-            Array.iter
-              (function
-                | Rpc.R_error e ->
-                  Format.kasprintf failwith "integrity bench: %s" (Rpc.error_to_string e)
-                | _ -> ())
-              resps;
-            done_ := !done_ + n
-          done)
-    in
-    let sim_s = Simclock.to_seconds (Int64.sub (Simclock.now clock) t0) in
-    (sim_s, wall_s)
-  in
-  let total_for = function `Sim -> total | `Wall -> 2 * total in
-  let cells =
-    [
-      ( "direct",
-        `Sim,
-        fun ~integrity ->
-          let clock = Simclock.create () in
-          (Drive.backend (mk_drive ~integrity clock), fun () -> ()) );
-      ( "shard4",
-        `Sim,
-        fun ~integrity ->
-          let clock = Simclock.create () in
-          let members = List.init 4 (fun i -> (i, Router.Single (mk_drive ~integrity clock))) in
-          (Router.backend (Router.create members), fun () -> ()) );
-      ( "tcp",
-        `Wall,
-        fun ~integrity ->
-          let srv = Netserver.of_drive (mk_drive ~integrity (Simclock.create ())) in
-          let listener = Netserver.serve_tcp srv in
-          let client =
-            Netclient.connect
-              (Nettransport.tcp ~host:"127.0.0.1" ~port:(Netserver.port listener))
-          in
-          let backend = Netclient.backend ~clock:(Simclock.create ()) ~keep_data:true client in
-          ( backend,
-            fun () ->
-              Netclient.close client;
-              Netserver.shutdown listener ) );
-    ]
-  in
-  Printf.printf "\nsync-bound 4 KiB writes (%d ops, 1 barrier per batch); loss = sealed vs unsealed\n"
-    total;
-  let rows =
-    List.map
-      (fun (be_name, basis, mk) ->
-        let row =
-          List.map
-            (fun k ->
-              let total = total_for basis in
-              let rate ~integrity =
-                let once () =
-                  let backend, stop = mk ~integrity in
-                  let r = run_cell backend ~total k in
-                  stop ();
-                  r
-                in
-                let sim_s, wall_s =
-                  match basis with
-                  | `Sim -> once ()
-                  | `Wall ->
-                    List.fold_left
-                      (fun (bs, bw) (s, w) -> if w < bw then (s, w) else (bs, bw))
-                      (once ())
-                      [ once (); once () ]
-                in
-                float_of_int total /. (match basis with `Sim -> sim_s | `Wall -> wall_s)
-              in
-              let unsealed = rate ~integrity:false in
-              let sealed = rate ~integrity:true in
-              let loss_pct = 100.0 *. (1.0 -. (sealed /. unsealed)) in
-              Report.record ~experiment:"integrity"
-                ~label:(Printf.sprintf "%s/%d" be_name k)
-                [
-                  ("batch", float_of_int k);
-                  ("ops", float_of_int total);
-                  ("sealed_ops_per_second", sealed);
-                  ("unsealed_ops_per_second", unsealed);
-                  ("loss_pct", loss_pct);
-                ];
-              Printf.sprintf "%.1f%%" loss_pct)
-            sizes
-        in
-        (be_name ^ (match basis with `Sim -> " (sim)" | `Wall -> " (wall)")) :: row)
-      cells
-  in
-  Report.table ~header:("backend \\ batch" :: List.map string_of_int sizes) rows;
-  Report.write_json ~experiments:[ "integrity" ] "BENCH_integrity.json";
-  Report.note "wrote BENCH_integrity.json"
-
-(* ------------------------------------------------------------------ *)
 (* Persist: what real durability costs                                 *)
 
 module File_disk = S4_disk.File_disk
@@ -2153,7 +2020,6 @@ let experiments : (string * string * (unit -> unit)) list =
     ("scale", "sharded-array throughput scaling + rebalance cost", scale);
     ("net", "wire protocol: in-process vs loopback vs TCP + batch-depth sweep", net);
     ("batch", "vectored submission group-commit sweep, batch size 1..64", batch);
-    ("integrity", "audit-chain seal overhead vs unsealed, batch size 1..64", integrity_bench);
     ("persist", "sector-store backings: sim vs file vs file+O_DSYNC", persist);
     ("kill9", "kill -9 a live server at random points; verify acked syncs", kill9);
     ("intrusion", "attacker campaigns: detect, attribute, roll back (oracle-gated)", intrusion);
@@ -2166,7 +2032,7 @@ let experiments : (string * string * (unit -> unit)) list =
    default skips the redundant separate fig5 pass. *)
 let default_run =
   [ "table1"; "fig2"; "fig3"; "fig4"; "fundamental"; "fig6"; "audit-macro"; "fig7"; "diffstudy";
-    "snapshots"; "ablation"; "faults"; "scale"; "net"; "batch"; "integrity"; "persist"; "micro" ]
+    "snapshots"; "ablation"; "faults"; "scale"; "net"; "batch"; "persist"; "micro" ]
 
 let () =
   let json_file = ref None in

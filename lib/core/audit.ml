@@ -14,19 +14,26 @@ type record = {
   ok : bool;
 }
 
-let magic_v1 = 0x5541 (* "AU": pre-chain blocks, still decodable *)
-let magic = 0x5542 (* "BU": chained blocks carrying start index + prior head *)
-let seal_magic = 0x5345 (* "ES": epoch seal *)
+let magic = 0x5542 (* "BU" *)
 
-(* A block or seal of the log at [addr]; the cleaner's moves update
-   [addr] in place. *)
-type 'a placed = { mutable addr : int; v : 'a }
+(* One decoded audit block. Every block carries its chain position
+   ([start], [prior]) and the prune floor in force when it was written;
+   the last block of each sealing flush also carries the seal. *)
+type block = {
+  base : int64;
+  start : int;
+  prior : string;
+  floor : int;
+  seal : Chain.head option;
+  records : record list;
+}
 
-(* Members by address, for the cleaner's moves: built at the first move
-   after the member lists change, and dropped at the next change. *)
-type index = {
-  at_block : (int, int64 placed) Hashtbl.t;
-  at_seal : (int, Chain.seal placed) Hashtbl.t;
+(* A live block of the log at [addr]; the cleaner's moves update [addr]
+   in place. *)
+type placed = {
+  mutable addr : int;
+  start : int;
+  newest : int64;  (* newest record's time; [Int64.min_int] for none *)
 }
 
 type t = {
@@ -34,16 +41,20 @@ type t = {
   mutable enabled : bool;
   mutable buffer : record list;  (* newest first *)
   mutable buffer_bytes : int;
-  mutable blocks : int64 placed list;  (* newest record time, newest first *)
+  mutable blocks : placed list;  (* newest first *)
   mutable nrecords : int;
   (* Hash chain state over flushed records. Buffered records are not
      yet chained: they join the chain in flush order, so the chain is
      exactly the persisted record sequence. *)
   mutable chain_head : string;  (* head after the last flushed record *)
   mutable chained : int;  (* global index: flushed records since format *)
-  mutable seals : Chain.seal placed list;  (* newest first *)
   mutable last_seal : Chain.head;
-  mutable index : index option;
+  mutable seal_start : int;  (* start of the block carrying [last_seal]; max_int for none *)
+  mutable floor : int;  (* first record index expiry kept *)
+  (* Blocks by address, for the cleaner's moves: built at the first
+     move after the block list changes, and dropped at the next
+     change. *)
+  mutable index : (int, placed) Hashtbl.t option;
 }
 
 let create ?(enabled = true) log =
@@ -56,8 +67,9 @@ let create ?(enabled = true) log =
     nrecords = 0;
     chain_head = Chain.genesis_hash;
     chained = 0;
-    seals = [];
     last_seal = Chain.genesis;
+    seal_start = max_int;
+    floor = 0;
     index = None;
   }
 
@@ -150,62 +162,63 @@ let canonical r =
   Bcodec.w_u8 w (if r.ok then 1 else 0);
   b
 
-(* Block layout: magic, base time, chain start index, prior head, count,
-   records..., zero pad, crc in the last 4 bytes — self-identifying
-   like journal blocks. The start index and prior head let verification
-   resume at any block boundary (incremental verify, pruned logs). *)
-let encode_block block_size ~start ~prior records_chrono =
-  let base = match records_chrono with r :: _ -> r.at | [] -> 0L in
+(* Block layout: magic, base time, chain start index, prior head,
+   floor, seal, count, records..., zero pad, crc in the last 4 bytes —
+   self-identifying like journal blocks. The start index and prior head
+   let verification resume at any block boundary (incremental verify,
+   pruned logs). The seal is a flag byte, then for a sealed block the
+   epoch and the head after the block's records. *)
+let start_offset = 10
+
+let encode_block block_size b =
   Bcodec.frame ~size:block_size (fun w ->
       Bcodec.w_u16 w magic;
-      Bcodec.w_i64 w base;
-      Bcodec.w_int w start;
-      Bcodec.w_raw w (Bytes.unsafe_of_string prior);
-      Bcodec.w_int w (List.length records_chrono);
-      List.iter (fun r -> w_record w ~base r) records_chrono)
+      Bcodec.w_i64 w b.base;
+      Bcodec.w_int w b.start;
+      Bcodec.w_raw w (Bytes.unsafe_of_string b.prior);
+      Bcodec.w_int w b.floor;
+      (match b.seal with
+       | None -> Bcodec.w_u8 w 0
+       | Some h ->
+         Bcodec.w_u8 w 1;
+         Bcodec.w_int w h.Chain.epoch;
+         Bcodec.w_raw w (Bytes.unsafe_of_string h.Chain.hash));
+      Bcodec.w_int w (List.length b.records);
+      List.iter (fun r -> w_record w ~base:b.base r) b.records)
 
-(* Decodes either block generation; chain info is [None] for v1. *)
-let decode_block_chained b =
-  let m = if Bytes.length b < 18 then -1 else Bcodec.get_u16 b 0 in
-  if (m <> magic && m <> magic_v1) || not (Bcodec.check_frame b) then None
+(* A decoded block, and the offset of its first record. *)
+let decode b =
+  if Bytes.length b < 18 || Bcodec.get_u16 b 0 <> magic || not (Bcodec.check_frame b) then None
   else
     try
       let rd = Bcodec.reader ~pos:2 b in
       let base = Bcodec.r_i64 rd in
-      let chain =
-        if m = magic then begin
-          let start = Bcodec.r_int rd in
-          let prior = Bytes.to_string (Bcodec.r_raw rd Chain.hash_len) in
-          Some (start, prior)
-        end
-        else None
+      let start = Bcodec.r_int rd in
+      let prior = Bytes.to_string (Bcodec.r_raw rd Chain.hash_len) in
+      let floor = Bcodec.r_int rd in
+      let seal =
+        match Bcodec.r_u8 rd with
+        | 0 -> None
+        | 1 ->
+          let epoch = Bcodec.r_int rd in
+          Some (epoch, Bytes.to_string (Bcodec.r_raw rd Chain.hash_len))
+        | _ -> raise (Bcodec.Decode_error "audit block: bad seal flag")
       in
       let count = Bcodec.r_int rd in
-      Some (List.init count (fun _ -> r_record rd ~base), chain)
+      if count < 0 || count > Bcodec.remaining rd then raise (Bcodec.Decode_error "audit block: bad count");
+      let pos = Bcodec.position rd in
+      let records = List.init count (fun _ -> r_record rd ~base) in
+      let seal = Option.map (fun (epoch, hash) -> { Chain.epoch; records = start + count; hash }) seal in
+      Some ({ base; start; prior; floor; seal; records }, pos)
     with Bcodec.Decode_error _ -> None
 
-let decode_block b = Option.map fst (decode_block_chained b)
+let decode_block b = Option.map fst (decode b)
+let records_offset b = Option.map snd (decode b)
 
-(* Seal layout: magic, epoch, records, seal time, head hash, pad, crc. *)
-let encode_seal block_size (s : Chain.seal) =
-  Bcodec.frame ~size:block_size (fun w ->
-      Bcodec.w_u16 w seal_magic;
-      Bcodec.w_int w s.Chain.s_head.Chain.epoch;
-      Bcodec.w_int w s.Chain.s_head.Chain.records;
-      Bcodec.w_i64 w s.Chain.s_at;
-      Bcodec.w_raw w (Bytes.unsafe_of_string s.Chain.s_head.Chain.hash))
-
-let decode_seal b : Chain.seal option =
-  if Bytes.length b < 10 || Bcodec.get_u16 b 0 <> seal_magic || not (Bcodec.check_frame b) then None
-  else
-    try
-      let rd = Bcodec.reader ~pos:2 b in
-      let epoch = Bcodec.r_int rd in
-      let records = Bcodec.r_int rd in
-      let s_at = Bcodec.r_i64 rd in
-      let hash = Bytes.to_string (Bcodec.r_raw rd Chain.hash_len) in
-      Some { Chain.s_head = { Chain.epoch; records; hash }; s_at }
-    with Bcodec.Decode_error _ -> None
+(* Header bytes a block spends besides its records, at most: magic
+   (2), base (8), start (10), prior (32), floor (10), seal flag, epoch
+   and head (1 + 10 + 32), count (3) and crc (4). *)
+let overhead = 2 + 8 + 10 + Chain.hash_len + 10 + 1 + 10 + Chain.hash_len + 3 + 4
 
 (* The records of [chrono] (oldest first) that fit one block, newest
    first, packed greedily by actual encoded size (time deltas vary
@@ -215,37 +228,57 @@ let take_block block_size chrono =
   let rec take used acc = function
     | r :: rest as all ->
       let sz = record_size ~base r in
-      if used + sz + 17 + 10 + Chain.hash_len > block_size && acc <> [] then (acc, all)
+      if used + sz + overhead > block_size && acc <> [] then (acc, all)
       else take (used + sz) (r :: acc) rest
     | [] -> (acc, [])
   in
   take 0 [] chrono
 
-(* Each emitted block records where it sits on the chain, then extends
-   the running head with its records. Records leave the buffer only
-   once [Log.append] has returned their block's address: a full log
-   (or a media fault) part-way through keeps the rest buffered. *)
-let flush_block t =
+let newest_of records = List.fold_left (fun acc r -> max acc r.at) Int64.min_int records
+
+(* Append one block holding [group] (oldest first) at the chain's end;
+   [seal] makes it carry the next epoch and the head after [group].
+   The chain state moves only once [Log.append] has returned the
+   block's address. *)
+let emit t ~seal group =
+  let start = t.chained in
+  let head = List.fold_left (fun h r -> Chain.extend h (canonical r)) t.chain_head group in
+  let n = List.length group in
+  let seal =
+    if seal then Some { Chain.epoch = t.last_seal.Chain.epoch + 1; records = start + n; hash = head }
+    else None
+  in
+  let base = match group with r :: _ -> r.at | [] -> 0L in
+  let data =
+    encode_block (Log.block_size t.log)
+      { base; start; prior = t.chain_head; floor = t.floor; seal; records = group }
+  in
+  let addr = Log.append t.log Tag.Audit ~data () in
+  t.blocks <- { addr; start; newest = newest_of group } :: t.blocks;
+  t.index <- None;
+  t.chain_head <- head;
+  t.chained <- start + n;
+  Option.iter
+    (fun h ->
+      t.last_seal <- h;
+      t.seal_start <- start)
+    seal
+
+(* Write the buffer out, sealing its last block when [seal]. Records
+   leave the buffer only once their block is appended: a full log (or
+   a media fault) part-way through keeps the rest buffered. *)
+let flush_buffer t ~seal =
   let block_size = Log.block_size t.log in
-  let rec emit chrono =
+  let rec go chrono =
     match take_block block_size chrono with
     | [], _ -> ()
-    | (newest :: _ as group_rev), rest ->
-      let group = List.rev group_rev in
-      let data = encode_block block_size ~start:t.chained ~prior:t.chain_head group in
-      let addr = Log.append t.log Tag.Audit ~data () in
-      t.blocks <- { addr; v = newest.at } :: t.blocks;
-      t.index <- None;
-      List.iter
-        (fun r ->
-          t.chain_head <- Chain.extend t.chain_head (canonical r);
-          t.chained <- t.chained + 1;
-          t.buffer_bytes <- t.buffer_bytes - record_wire_bytes r)
-        group;
+    | group_rev, rest ->
+      emit t ~seal:(seal && rest = []) (List.rev group_rev);
+      List.iter (fun r -> t.buffer_bytes <- t.buffer_bytes - record_wire_bytes r) group_rev;
       t.buffer <- List.rev rest;
-      emit rest
+      go rest
   in
-  emit (List.rev t.buffer)
+  go (List.rev t.buffer)
 
 (* A record joins the buffer even when the flush that makes room for
    it fails: the flush keeps what it could not write, and the error
@@ -258,49 +291,30 @@ let append t r =
       t.buffer_bytes <- t.buffer_bytes + sz;
       t.nrecords <- t.nrecords + 1
     in
-    (* header (2) + base (8) + start (10) + prior (32) + count varint
-       (3) + crc (4) *)
-    if t.buffer_bytes + sz + 27 + Chain.hash_len > Log.block_size t.log then
-      Fun.protect ~finally:push (fun () -> flush_block t)
+    if t.buffer_bytes + sz + overhead > Log.block_size t.log then
+      Fun.protect ~finally:push (fun () -> flush_buffer t ~seal:false)
     else push ()
   end
 
-let flush t = flush_block t
+(* The durability barrier's half of the audit trail: the last block of
+   the flush seals the chain, so records and their seal reach the disk
+   in one block write and a torn flush reads as a shorter chain. With
+   nothing buffered, a chain that has records past its newest seal (a
+   recovered unsealed tail) gets one record-less sealed block; else
+   nothing is written. *)
+let flush t =
+  if t.buffer <> [] then flush_buffer t ~seal:true
+  else if t.chained > t.last_seal.Chain.records then emit t ~seal:true []
+
 let block_count t = List.length t.blocks
 let block_addrs t = List.map (fun p -> p.addr) t.blocks
 let record_count t = t.nrecords
 
 (* ------------------------------------------------------------------ *)
-(* Chain state and sealing                                             *)
+(* Chain state, reads and expiry                                      *)
 
-let chain_head t = t.chain_head
 let chained t = t.chained
 let sealed_head t = t.last_seal
-let seal_count t = List.length t.seals
-
-let prospective_head t =
-  if t.chained > t.last_seal.Chain.records then
-    { Chain.epoch = t.last_seal.Chain.epoch + 1; records = t.chained; hash = t.chain_head }
-  else t.last_seal
-
-(* Seal the chain at a durability barrier: called after [flush], before
-   the log sync, so the seal travels in the same flush as the records
-   it covers. A crash between the record blocks and the seal reaching
-   the platter therefore loses the seal first — verification sees an
-   unsealed tail (legitimate truncation), never a sealed region with
-   missing records. Barriers with nothing new to seal write nothing. *)
-let seal t =
-  if t.enabled && t.chained > t.last_seal.Chain.records then begin
-    let head = prospective_head t in
-    let s = { Chain.s_head = head; s_at = Simclock.now (Log.clock t.log) } in
-    let data = encode_seal (Log.block_size t.log) s in
-    let addr = Log.append t.log Tag.Audit ~data () in
-    t.seals <- { addr; v = s } :: t.seals;
-    t.index <- None;
-    t.last_seal <- head
-  end
-
-let live_addrs t = block_addrs t @ List.map (fun p -> p.addr) t.seals
 
 let records t ?(since = 0L) ?(until = Int64.max_int) () =
   let in_range r = Int64.compare r.at since >= 0 && Int64.compare r.at until <= 0 in
@@ -308,58 +322,62 @@ let records t ?(since = 0L) ?(until = Int64.max_int) () =
     List.concat_map
       (fun p ->
         match decode_block (Log.read t.log p.addr) with
-        | Some rs -> List.filter in_range rs
+        | Some b -> List.filter in_range b.records
         | None -> [])
       (List.rev t.blocks)
   in
   from_blocks @ List.filter in_range (List.rev t.buffer)
 
+(* The floor moves to the first record of the oldest block that still
+   holds a record inside the window, but never past the newest sealed
+   block, which keeps the chain's position across restarts. The new
+   floor reaches the log, in a record-less block, before any block it
+   drops dies: the log flushes in append order and opens a segment
+   (reclaimed or not) only after flushing the one before, so no write
+   can overwrite a dropped block while the disk still lacks the floor
+   that drops it. A full log keeps everything until the next pass. *)
 let expire t ~cutoff =
-  let expired, kept =
-    List.partition (fun p -> Int64.compare p.v cutoff < 0) t.blocks
+  let floor =
+    List.fold_left
+      (fun acc p -> if Int64.compare p.newest cutoff >= 0 then min acc p.start else acc)
+      (min t.chained t.seal_start) t.blocks
   in
-  List.iter (fun p -> Log.kill t.log p.addr) expired;
-  t.blocks <- kept;
-  t.index <- None;
-  (* Old seals go with their records, but the newest seal is always
-     kept: it anchors the surviving suffix of the chain. *)
-  let newest_epoch = t.last_seal.Chain.epoch in
-  let dead_seals, kept_seals =
-    List.partition
-      (fun { v = (s : Chain.seal); _ } ->
-        s.Chain.s_head.Chain.epoch <> newest_epoch && Int64.compare s.Chain.s_at cutoff < 0)
-      t.seals
-  in
-  List.iter (fun p -> Log.kill t.log p.addr) dead_seals;
-  t.seals <- kept_seals;
-  List.length expired + List.length dead_seals
+  if floor <= t.floor then 0
+  else begin
+    let prev = t.floor in
+    t.floor <- floor;
+    match emit t ~seal:false [] with
+    | () ->
+      let dropped, kept = List.partition (fun p -> p.start < floor) t.blocks in
+      List.iter (fun p -> Log.kill t.log p.addr) dropped;
+      t.blocks <- kept;
+      List.length dropped
+    | exception Log.Log_full ->
+      t.floor <- prev;
+      0
+    | exception e ->
+      t.floor <- prev;
+      raise e
+  end
 
-(* O(1) per moved block: one index build per change of the member
-   lists (expiry runs after every cleaner pass), then a lookup. *)
+(* O(1) per moved block: one index build per change of the block list
+   (expiry runs after every cleaner pass), then a lookup. *)
 let on_move t ~old_addr ~new_addr =
   let index =
     match t.index with
     | Some index -> index
     | None ->
-      let by_addr l =
-        let tbl = Hashtbl.create (List.length l) in
-        List.iter (fun p -> Hashtbl.replace tbl p.addr p) l;
-        tbl
-      in
-      let index = { at_block = by_addr t.blocks; at_seal = by_addr t.seals } in
+      let index = Hashtbl.create (List.length t.blocks) in
+      List.iter (fun p -> Hashtbl.replace index p.addr p) t.blocks;
       t.index <- Some index;
       index
   in
-  let move tbl =
-    match Hashtbl.find_opt tbl old_addr with
-    | Some p ->
-      Hashtbl.remove tbl old_addr;
-      p.addr <- new_addr;
-      Hashtbl.replace tbl new_addr p;
-      true
-    | None -> false
-  in
-  if not (move index.at_block) then ignore (move index.at_seal)
+  match Hashtbl.find_opt index old_addr with
+  | Some p ->
+    Hashtbl.remove index old_addr;
+    p.addr <- new_addr;
+    Hashtbl.replace index new_addr p
+  | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Verification                                                        *)
@@ -367,30 +385,26 @@ let on_move t ~old_addr ~new_addr =
 (* Assemble chain items from the persisted log. Forensic [Log.peek]
    (uncharged) — verification is an offline examination, not workload
    I/O. A block the drive believes is live but no longer decodes is
-   reported as Bad; seal-magic and record-magic blocks route to their
-   item kinds; v1 (pre-chain) blocks cannot be verified and are
-   flagged. Only live blocks count: an expired audit block stays
-   tagged in its segment until the cleaner reclaims the segment, and
-   walking it would make the chain's tail reappear and vanish with
+   reported as Bad. Only live blocks count: an expired audit block
+   stays tagged in its segment until the cleaner reclaims the segment,
+   and walking it would make the chain's tail reappear and vanish with
    cleaning. *)
 let chain_items t =
   List.filter_map
     (fun (addr, tag) ->
       match tag with
       | Tag.Audit when Log.is_live t.log addr -> (
-        let b = Log.peek t.log addr in
-        match decode_seal b with
-        | Some s -> Some (Chain.Seal s)
-        | None -> (
-          match decode_block_chained b with
-          | Some (rs, Some (start, prior)) ->
-            Some
-              (Chain.Block
-                 { Chain.b_start = start; b_prior = prior; b_canons = List.map canonical rs })
-          | Some (_, None) ->
-            Some (Chain.Bad (Printf.sprintf "pre-chain audit block at addr %d (unverifiable)" addr))
-          | None ->
-            Some (Chain.Bad (Printf.sprintf "undecodable audit block at addr %d" addr))))
+        match decode_block (Log.peek t.log addr) with
+        | Some b ->
+          Some
+            (Chain.Block
+               {
+                 Chain.b_start = b.start;
+                 b_prior = b.prior;
+                 b_canons = List.map canonical b.records;
+                 b_seal = b.seal;
+               })
+        | None -> Some (Chain.Bad (Printf.sprintf "undecodable audit block at addr %d" addr)))
       | _ -> None)
     (Log.all_tagged t.log)
 
@@ -399,78 +413,71 @@ let verify ?from ?lenient_tail t = Chain.verify ?from ?lenient_tail (chain_items
 (* ------------------------------------------------------------------ *)
 (* Recovery                                                            *)
 
+(* Re-find the live trail among every decodable audit block on disk,
+   dead ones included: only blocks at or above the largest floor any
+   block carries, and one copy of byte-identical blocks at one start
+   (the cleaner's relocations). Two different blocks at one start both
+   stay, for verification to report the overlap. A gap above the floor
+   stays a gap: the floor is read from the disk, not inferred from the
+   blocks that happen to survive. *)
 let recover t =
-  let record_blocks = ref [] in
-  List.iter
-    (fun (addr, tag) ->
-      match tag with
-      | Tag.Audit | Tag.Unknown -> (
-        let b = Log.peek t.log addr in
-        match decode_seal b with
-        | Some s ->
-          Log.mark_live t.log addr Tag.Audit;
-          t.seals <- { addr; v = s } :: t.seals
-        | None -> (
-          match decode_block_chained b with
-          | Some ([], _) -> ()
-          | Some (rs, chain) ->
-            let newest = List.fold_left (fun acc r -> max acc r.at) 0L rs in
-            Log.mark_live t.log addr Tag.Audit;
-            t.nrecords <- t.nrecords + List.length rs;
-            t.blocks <- { addr; v = newest } :: t.blocks;
-            record_blocks := (chain, rs) :: !record_blocks
-          | None -> ()))
-      | _ -> ())
-    (Log.all_tagged t.log);
-  t.blocks <- List.sort (fun a b -> compare b.v a.v) t.blocks;
-  t.seals <-
-    List.sort
-      (fun { v = (a : Chain.seal); _ } { v = b; _ } ->
-        compare b.Chain.s_head.Chain.epoch a.Chain.s_head.Chain.epoch)
-      t.seals;
-  t.index <- None;
-  (match t.seals with
-   | { v = s; _ } :: _ -> t.last_seal <- s.Chain.s_head
-   | [] -> ());
-  (* Rebuild the running head by replaying the chained blocks in index
-     order. Anomalies (gaps, mismatched priors — verification's job to
-     report) resync on each block's self-declared prior so the drive
-     keeps a usable head for new records. *)
-  let chained_blocks =
+  let found =
     List.filter_map
-      (function Some (start, prior), rs -> Some (start, prior, rs) | None, _ -> None)
-      !record_blocks
-    |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
+      (fun (addr, tag) ->
+        match tag with
+        | Tag.Audit | Tag.Unknown -> Option.map (fun b -> (addr, b)) (decode_block (Log.peek t.log addr))
+        | _ -> None)
+      (Log.all_tagged t.log)
   in
-  (match chained_blocks with
-   | [] -> ()
-   | (start0, prior0, _) :: _ ->
-     let idx = ref start0 and hash = ref prior0 in
-     List.iter
-       (fun (start, prior, rs) ->
-         if start <> !idx then begin
-           idx := start;
-           hash := prior
-         end;
-         List.iter
-           (fun r ->
-             hash := Chain.extend !hash (canonical r);
-             incr idx)
-           rs)
-       chained_blocks;
-     t.chained <- !idx;
-     t.chain_head <- !hash);
-  (* A sealed count ahead of the recovered blocks (sealed-region
-     truncation: verification will flag it) must not make the next seal
-     claim fewer records than the last. *)
-  if t.chained < t.last_seal.Chain.records then t.chained <- t.last_seal.Chain.records;
+  let floor = List.fold_left (fun acc (_, (b : block)) -> max acc b.floor) 0 found in
+  let seen = Hashtbl.create 64 in
+  let first_copy addr =
+    let bytes = Log.peek t.log addr in
+    (not (Hashtbl.mem seen bytes))
+    &&
+    (Hashtbl.replace seen bytes ();
+     true)
+  in
+  let live =
+    List.filter (fun (addr, (b : block)) -> b.start >= floor && first_copy addr) found
+    |> List.stable_sort (fun (_, (a : block)) (_, (b : block)) ->
+           compare (a.start, a.records <> []) (b.start, b.records <> []))
+  in
+  (* Rebuild the running head by replaying the blocks in index order.
+     Anomalies (gaps, mismatched priors — verification's job to report)
+     resync on each block's self-declared position so the drive keeps a
+     usable head for new records. *)
+  let idx = ref (-1) and hash = ref Chain.genesis_hash in
+  List.iter
+    (fun (addr, (b : block)) ->
+      Log.mark_live t.log addr Tag.Audit;
+      t.blocks <- { addr; start = b.start; newest = newest_of b.records } :: t.blocks;
+      t.nrecords <- t.nrecords + List.length b.records;
+      (match b.seal with
+       | Some h when h.Chain.epoch > t.last_seal.Chain.epoch ->
+         t.last_seal <- h;
+         t.seal_start <- b.start
+       | _ -> ());
+      if b.start <> !idx then begin
+        idx := b.start;
+        hash := b.prior
+      end;
+      List.iter
+        (fun r ->
+          hash := Chain.extend !hash (canonical r);
+          incr idx)
+        b.records)
+    live;
+  if live <> [] then begin
+    t.chained <- !idx;
+    t.chain_head <- !hash
+  end;
+  t.floor <- floor;
+  t.index <- None;
   (* Same monotonicity guard as Obj_store.recover: recovered audit
      records may postdate the barrier clock a file-backed restart
      resumed from. *)
-  let tmax = List.fold_left (fun acc p -> max acc p.v) Int64.min_int t.blocks in
-  let tmax =
-    List.fold_left (fun acc { v = (s : Chain.seal); _ } -> max acc s.Chain.s_at) tmax t.seals
-  in
+  let tmax = List.fold_left (fun acc p -> max acc p.newest) Int64.min_int t.blocks in
   let clock = Log.clock t.log in
   if Int64.compare tmax (Simclock.now clock) >= 0 then
     Simclock.set clock (Int64.add tmax 1L)

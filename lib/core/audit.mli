@@ -16,10 +16,11 @@
 
     The persisted log is additionally tamper-evident: each flushed
     record extends a SHA-256 hash chain ({!S4_integrity.Chain}), every
-    block records its chain position and prior head, and {!seal} pins
-    the head into an epoch record at each durability barrier. {!verify}
-    re-walks the persisted chain and pinpoints any rewrite, drop,
-    reorder or fork of sealed history. *)
+    block records its chain position, prior head and the prune floor,
+    and the last block of each {!flush} seals the head after its own
+    records under the next epoch. {!verify} re-walks the persisted
+    chain and pinpoints any rewrite, drop, reorder or fork of sealed
+    history. *)
 
 type record = {
   at : int64;  (** simulated time of the request *)
@@ -40,14 +41,20 @@ val set_enabled : t -> bool -> unit
     already-recorded history remains. *)
 
 val append : t -> record -> unit
+(** Buffer a record; a full buffer is first written out as unsealed
+    blocks. *)
+
 val flush : t -> unit
-(** Force the partial buffer into a block (e.g. at shutdown). *)
+(** The durability barrier's audit write: the buffer goes out in blocks
+    whose last one is sealed. With nothing buffered, one record-less
+    sealed block covers records past the newest seal (a recovered
+    unsealed tail); otherwise nothing is written. *)
 
 val block_count : t -> int
 val record_count : t -> int
 
 val block_addrs : t -> int list
-(** Addresses of flushed audit blocks, newest first (for cross-layer
+(** Addresses of live audit blocks, newest first (for cross-layer
     liveness checks). *)
 
 val records : t -> ?since:int64 -> ?until:int64 -> unit -> record list
@@ -55,22 +62,36 @@ val records : t -> ?since:int64 -> ?until:int64 -> unit -> record list
     audit blocks through the log (charged). *)
 
 val expire : t -> cutoff:int64 -> int
-(** Free audit blocks whose newest record is older than the cutoff;
-    returns blocks freed. *)
+(** Move the prune floor to the first record of the oldest block holding
+    a record at or after the cutoff (never past the newest sealed block),
+    write the floor in a record-less block, then free every block below
+    it; returns blocks freed. A full log frees nothing. *)
 
 val on_move : t -> old_addr:int -> new_addr:int -> unit
 (** Cleaner relocation callback. *)
 
 val recover : t -> unit
 (** After a crash ({!S4_seglog.Log.reattach} + store recovery), re-find
-    audit blocks from segment summaries and re-mark them live. *)
+    the live trail: blocks at or above the largest floor on disk, one
+    copy of byte-identical blocks at one start, and re-mark them live. *)
 
-val record_wire_bytes : record -> int
-(** Encoded size of one record (compact encoding: op-code byte,
-    varint principals, time delta against the block base). *)
+(** {1 Block codec} Exposed for tests and forensic tools. *)
 
-val decode_block : Bytes.t -> record list option
-(** Exposed for tests and forensic tools. *)
+type block = {
+  base : int64;  (** time of the first record; 0 for a record-less block *)
+  start : int;  (** chain index of the first record *)
+  prior : string;  (** chain head before it *)
+  floor : int;  (** prune floor when the block was written *)
+  seal : S4_integrity.Chain.head option;  (** set on the last block of a flush *)
+  records : record list;
+}
+
+val decode_block : Bytes.t -> block option
+
+val start_offset : int
+val records_offset : Bytes.t -> int option
+(** Byte offsets of the start-index varint and, in a decodable block,
+    of the first record. *)
 
 (** {1 Hash chain} *)
 
@@ -78,31 +99,13 @@ val canonical : record -> Bytes.t
 (** The canonical encoding the hash chain runs over (independent of
     the block-level delta encoding). *)
 
-val chain_head : t -> string
-(** Running SHA-256 head after the last flushed record. *)
-
 val chained : t -> int
 (** Global index of the next record to be chained (flushed records
     since format). *)
 
 val sealed_head : t -> S4_integrity.Chain.head
-(** Head pinned by the newest seal; {!S4_integrity.Chain.genesis} if
-    nothing is sealed yet. *)
-
-val seal_count : t -> int
-
-val prospective_head : t -> S4_integrity.Chain.head
-(** The head the next {!seal} would write (equals {!sealed_head} when
-    nothing new has been flushed). The shard router records these in
-    the integrity catalog before fanning out member barriers. *)
-
-val seal : t -> unit
-(** Seal the chain at a durability barrier: call after {!flush} and
-    before the log sync so the epoch record travels in the same flush
-    as the records it covers. No-op when nothing new was flushed. *)
-
-val live_addrs : t -> int list
-(** Record blocks plus seals (for cross-layer liveness checks). *)
+(** Head pinned by the newest sealed block; {!S4_integrity.Chain.genesis}
+    if nothing is sealed yet. *)
 
 val verify :
   ?from:S4_integrity.Chain.head ->
@@ -111,4 +114,4 @@ val verify :
   S4_integrity.Chain.verify_result
 (** Re-walk the persisted chain from the log (forensic reads,
     uncharged). [from] resumes from a trusted head; [lenient_tail]
-    accepts a torn unsealed tail (crash recovery). *)
+    accepts a torn final flush (crash recovery). *)

@@ -11,7 +11,6 @@ type config = {
   store : Store.config;
   window : int64;
   audit_enabled : bool;
-  integrity : bool;
   throttle : Throttle.config option;
   history_reserve : float;
   cleaner_live_threshold : float;
@@ -28,7 +27,6 @@ let default_config =
     store = Store.default_config;
     window = Int64.mul 7L day_ns;
     audit_enabled = true;
-    integrity = true;
     throttle = Some Throttle.default_config;
     history_reserve = 0.5;
     cleaner_live_threshold = 0.75;
@@ -78,10 +76,13 @@ let detection_cutoff t =
 
 let superblock_magic = 0x5342_3453 (* "S4SB" *)
 
+(* Version 2: audit blocks seal themselves and carry the prune floor. *)
+let superblock_version = 2
+
 let write_superblock t =
   let w = Bcodec.writer () in
   Bcodec.w_u32 w superblock_magic;
-  Bcodec.w_u8 w 1 (* version *);
+  Bcodec.w_u8 w superblock_version;
   Bcodec.w_i64 w t.ptable_oid;
   Bcodec.w_i64 w (window t);
   Log.write_superblock t.log (Bcodec.contents w)
@@ -91,10 +92,10 @@ let read_superblock log =
   let r = Bcodec.reader b in
   if Bcodec.r_u32 r <> superblock_magic then None
   else begin
-    let _version = Bcodec.r_u8 r in
+    let version = Bcodec.r_u8 r in
     let ptable_oid = Bcodec.r_i64 r in
     let window = Bcodec.r_i64 r in
-    Some (ptable_oid, window)
+    Some (version, ptable_oid, window)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -158,7 +159,7 @@ let build cfg log store ~ptable_oid =
      disk's own header — a second, device-held trust anchor an attacker
      rewriting the log cannot update without also forging SHA-256. *)
   Sim_disk.set_head_provider (Log.disk log) (fun () ->
-      if cfg.integrity && Audit.enabled audit then Some (Audit.sealed_head audit) else None);
+      if Audit.enabled audit then Some (Audit.sealed_head audit) else None);
   {
     cfg;
     log;
@@ -187,12 +188,16 @@ let format ?(config = default_config) disk =
 
 let attach ?(config = default_config) disk =
   let log = Log.reattach disk in
-  let store = Store.recover ~config:config.store log in
   let ptable_oid, window =
     match read_superblock log with
-    | Some (oid, w) -> (oid, w)
+    | Some (v, oid, w) when v = superblock_version -> (oid, w)
+    | Some (v, _, _) ->
+      invalid_arg
+        (Printf.sprintf "Drive.attach: on-disk format version %d, this build reads version %d" v
+           superblock_version)
     | None -> invalid_arg "Drive.attach: no valid superblock"
   in
+  let store = Store.recover ~config:config.store log in
   let t = build { config with window } log store ~ptable_oid in
   Audit.recover t.audit;
   (* Cross-check the device-held anchor: the head recorded in the disk
@@ -202,19 +207,18 @@ let attach ?(config = default_config) disk =
      rewound or rewritten behind the device's back. That fails closed:
      the drive serves degraded and [fsck] names the anchor, and nothing
      is reset. *)
-  (if config.integrity then
-     match Sim_disk.saved_head (Log.disk log) with
-     | None -> ()
-     | Some h ->
-       let r = Audit.verify ~from:h ~lenient_tail:true t.audit in
-       if not (S4_integrity.Chain.clean r) then begin
-         let msg =
-           Format.asprintf "device anchor (epoch %d, %d records) is not on the recovered audit chain: %a"
-             h.S4_integrity.Chain.epoch h.S4_integrity.Chain.records S4_integrity.Chain.pp_result r
-         in
-         Logs.warn (fun m -> m "attach: %s" msg);
-         t.anchor_error <- Some msg
-       end);
+  (match Sim_disk.saved_head (Log.disk log) with
+   | None -> ()
+   | Some h ->
+     let r = Audit.verify ~from:h ~lenient_tail:true t.audit in
+     if not (S4_integrity.Chain.clean r) then begin
+       let msg =
+         Format.asprintf "device anchor (epoch %d, %d records) is not on the recovered audit chain: %a"
+           h.S4_integrity.Chain.epoch h.S4_integrity.Chain.records S4_integrity.Chain.pp_result r
+       in
+       Logs.warn (fun m -> m "attach: %s" msg);
+       t.anchor_error <- Some msg
+     end);
   t
 
 (* ------------------------------------------------------------------ *)
@@ -347,10 +351,9 @@ let exec t (cred : Rpc.credential) (req : Rpc.req) : Rpc.resp =
   | Rpc.Sync ->
     (* The audit trail shares the durability barrier: records buffered
        up to this point must survive a crash once the sync returns. The
-       seal travels in the same flush as the records it covers, so a
-       torn flush loses the seal before it can orphan any record. *)
+       seal travels in the last block of the flush, with the records it
+       covers. *)
     Audit.flush t.audit;
-    if t.cfg.integrity then Audit.seal t.audit;
     Store.sync st;
     Rpc.R_unit
   | Rpc.Flush { until } ->
@@ -479,7 +482,6 @@ let barrier t =
      a full log answers [No_space], as an explicit [Sync] does. *)
   try
     Audit.flush t.audit;
-    if t.cfg.integrity then Audit.seal t.audit;
     Store.sync t.store;
     None
   with
@@ -524,10 +526,8 @@ let run_cleaner t =
   refresh_pressure t;
   report
 
-let integrity_enabled t = t.cfg.integrity
-
 let fsck t =
-  Option.to_list t.anchor_error @ Store.check ~extra_live:(Audit.live_addrs t.audit) t.store
+  Option.to_list t.anchor_error @ Store.check ~extra_live:(Audit.block_addrs t.audit) t.store
 
 let pp_stats ppf t =
   Format.fprintf ppf

@@ -20,10 +20,6 @@ type config = {
   store : S4_store.Obj_store.config;
   window : int64;  (** guaranteed detection window, ns *)
   audit_enabled : bool;
-  integrity : bool;
-      (** seal the audit hash chain at every durability barrier and
-          snapshot the sealed head into the disk header (chaining
-          itself always runs; this gates only the persisted seals) *)
   throttle : Throttle.config option;  (** [None] disables throttling *)
   history_reserve : float;
       (** fraction of capacity budgeted for the history pool, used to
@@ -49,10 +45,12 @@ val format : ?config:config -> S4_disk.Sim_disk.t -> t
 val attach : ?config:config -> S4_disk.Sim_disk.t -> t
 (** Crash recovery: rebuild the drive from on-disk state (segment
     summaries, journal blocks, checkpoints, audit blocks,
-    superblock). Unsynced pre-crash state is lost. With integrity on,
-    the device-held anchor must lie on the recovered audit chain (a
-    chain newer than the anchor is ordinary crash state); otherwise
-    the drive comes up {!degraded} and {!fsck} reports the anchor. *)
+    superblock). Unsynced pre-crash state is lost. The device-held
+    anchor must lie on the recovered audit chain (a chain newer than
+    the anchor is ordinary crash state); otherwise the drive comes up
+    {!degraded} and {!fsck} reports the anchor. Raises
+    [Invalid_argument] on a disk without a superblock, or one written
+    in another on-disk format version (the message names both). *)
 
 val submit : t -> Rpc.credential -> ?sync:bool -> Rpc.req array -> Rpc.resp array
 (** Process a batch of RPCs inside the perimeter. Each request gets
@@ -124,8 +122,6 @@ val pool_pressure : t -> float
 val fsck : t -> string list
 (** Full cross-layer invariant check; empty = healthy. Includes the
     device anchor check made at {!attach}. *)
-
-val integrity_enabled : t -> bool
 
 val ops_handled : t -> int
 

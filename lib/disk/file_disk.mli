@@ -40,7 +40,7 @@ val clock_ns : t -> int64
 
 val head : t -> S4_integrity.Chain.head option
 (** Sealed audit-chain head as of the last completed barrier ([None]
-    for pre-integrity stores, or when sealing is disabled). A second,
+    for pre-integrity stores, or when auditing is disabled). A second,
     device-held trust anchor: rewriting the log file cannot update it
     without also passing the header CRC and forging SHA-256. *)
 

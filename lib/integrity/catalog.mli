@@ -14,8 +14,7 @@ type entry = { shard : int; replica : int; head : Chain.head; at : int64 }
 val encode : entry list -> Bytes.t
 
 val decode : Bytes.t -> entry list option
-(** Accepts the current codec and the pre-[at] v1 layout (whose
-    entries decode with [at = 0]). *)
+(** [None] for anything but the current codec. *)
 
 val find : entry list -> shard:int -> replica:int -> Chain.head option
 val find_entry : entry list -> shard:int -> replica:int -> entry option

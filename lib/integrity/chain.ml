@@ -6,10 +6,11 @@ module Sha256 = S4_util.Sha256
 
      head_{i+1} = SHA256(head_i || canonical_encoding(record_i))
 
-   and at every durability barrier the current head is sealed into an
-   epoch record written in the same log flush as the records it covers
-   (the adaptive-crash-attack construction: a crash, or an attacker
-   faking one, can only truncate the unsealed tail — it cannot fork a
+   and the last block of every durability barrier's flush carries the
+   head after its own records, under the next epoch number (the
+   adaptive-crash-attack construction: records and their seal reach
+   the disk in one block write, so a crash, or an attacker faking one,
+   can only truncate the chain to a shorter prefix — it cannot fork a
    sealed prefix without breaking the hash).
 
    Verification is a pure state machine over [item]s so it can be
@@ -69,23 +70,21 @@ let read_head r =
 (* ------------------------------------------------------------------ *)
 (* Verification                                                        *)
 
-type block = { b_start : int; b_prior : string; b_canons : Bytes.t list }
-type seal = { s_head : head; s_at : int64 }
+type block = { b_start : int; b_prior : string; b_canons : Bytes.t list; b_seal : head option }
 
 type item =
   | Block of block
       (** A persisted audit block: global index of its first record,
-          the chain head before that record, and the canonical
-          encodings of its records in order. *)
-  | Seal of seal  (** An epoch seal: the head the chain claimed at a barrier. *)
+          the chain head before that record, the canonical encodings of
+          its records in order, and the seal it carries, if any. *)
   | Bad of string  (** A log block that should have decoded but did not. *)
 
 type verify_result = {
   v_records : int;  (** records covered by the chain walk *)
   v_sealed : int;  (** records protected by an intact seal *)
-  v_epochs : int;  (** seal epochs seen *)
+  v_epochs : int;  (** sealed blocks seen *)
   v_head : head option;  (** head after the newest record, if any walked *)
-  v_tail : int;  (** records past the newest intact seal (legit crash loss zone) *)
+  v_tail : int;  (** records past the newest seal (legit crash loss zone) *)
   v_pruned : int;  (** records before the earliest surviving block *)
   v_first_bad : int;  (** global index of the first provably bad record; -1 = none *)
   v_errors : string list;
@@ -101,10 +100,13 @@ let pp_result ppf r =
      | es -> Printf.sprintf ": %d violations" (List.length es));
   List.iter (fun e -> Format.fprintf ppf "@.  %s" e) r.v_errors
 
-(* Walk the blocks in record order, tracking the head at every index a
-   seal (or the caller's anchor) wants to inspect. Anomalies adopt the
-   block's own declared prior and continue, so one tampered region
-   yields one localized error instead of cascading mismatches. *)
+(* Walk the blocks in record order, checking each seal against the
+   walked head as it passes and noting the head at the caller's anchor.
+   A record-less block (a prune floor, or a seal over a recovered tail)
+   sits at a block boundary, so it walks before the block that starts
+   there. Anomalies adopt the block's own declared prior (or sealed
+   head) and continue, so one tampered region yields one localized
+   error instead of cascading mismatches. *)
 let verify ?from ?(lenient_tail = false) items =
   let errors = ref [] in
   let first_bad = ref (-1) in
@@ -118,25 +120,20 @@ let verify ?from ?(lenient_tail = false) items =
       fmt
   in
   let blocks =
-    List.filter_map (function Block b -> Some b | _ -> None) items
-    |> List.sort (fun a b -> compare a.b_start b.b_start)
+    List.filter_map (function Block b -> Some b | Bad _ -> None) items
+    |> List.stable_sort (fun a b -> compare (a.b_start, a.b_canons <> []) (b.b_start, b.b_canons <> []))
   in
-  let seals =
-    List.filter_map (function Seal s -> Some s | _ -> None) items
-    |> List.sort (fun a b -> compare a.s_head.epoch b.s_head.epoch)
-  in
-  let bads = List.filter_map (function Bad reason -> Some reason | _ -> None) items in
-  (* Indexes whose head a later check needs. *)
-  let wanted = Hashtbl.create 16 in
-  List.iter (fun s -> Hashtbl.replace wanted s.s_head.records ()) seals;
-  (match from with Some f -> Hashtbl.replace wanted f.records () | None -> ());
-  let heads_at = Hashtbl.create 16 in
-  let note idx hash = if Hashtbl.mem wanted idx then Hashtbl.replace heads_at idx hash in
+  let bads = List.filter_map (function Bad reason -> Some reason | Block _ -> None) items in
   let start = match blocks with [] -> 0 | b :: _ -> b.b_start in
   let pruned = start in
   let idx = ref start in
   let hash = ref (match blocks with [] -> genesis_hash | b :: _ -> b.b_prior) in
-  note !idx !hash;
+  let anchor = ref None in
+  let note () = match from with Some f when f.records = !idx -> anchor := Some !hash | _ -> () in
+  note ();
+  let sealed = ref 0 in
+  let last_epoch = ref 0 in
+  let epochs = ref 0 in
   List.iter
     (fun b ->
       let process =
@@ -160,53 +157,35 @@ let verify ?from ?(lenient_tail = false) items =
           true
         end
       in
-      if process then
+      if process then begin
         List.iter
           (fun canon ->
             hash := extend !hash canon;
             incr idx;
-            note !idx !hash)
-          b.b_canons)
+            note ())
+          b.b_canons;
+        match b.b_seal with
+        | None -> ()
+        | Some h ->
+          incr epochs;
+          if h.epoch <= !last_epoch then
+            err "chain: seal epoch %d does not increase (fork or replayed seal)" h.epoch
+          else last_epoch := h.epoch;
+          if not (String.equal h.hash !hash) then begin
+            err ~at:(max !sealed start)
+              "chain: seal epoch %d hash mismatch at record %d (records [%d, %d) tampered)" h.epoch
+              !idx (max !sealed start) !idx;
+            hash := h.hash
+          end;
+          sealed := !idx
+      end)
     blocks;
   let total = !idx in
-  (* Seals: epochs strictly increase, record counts never regress, and
-     each intact seal's hash must match the walked head at its index.
-     A seal claiming records the log no longer holds is tampering even
-     under a lenient tail: within one barrier the seal is written after
-     the records it covers, so a torn flush loses the seal first. *)
-  let sealed = ref 0 in
-  let last_epoch = ref 0 in
-  let epochs = ref 0 in
-  List.iter
-    (fun s ->
-      let h = s.s_head in
-      incr epochs;
-      if h.epoch <= !last_epoch then
-        err "chain: seal epoch %d does not increase (fork or replayed seal)" h.epoch
-      else last_epoch := h.epoch;
-      if h.records < !sealed then
-        err "chain: seal epoch %d covers fewer records (%d) than an earlier seal (%d)" h.epoch
-          h.records !sealed
-      else if h.records > total then
-        err ~at:total
-          "chain: seal epoch %d covers %d records but only %d survive (sealed region truncated)"
-          h.epoch h.records total
-      else begin
-        (if h.records >= start then
-           match Hashtbl.find_opt heads_at h.records with
-           | Some walked when not (String.equal walked h.hash) ->
-             err ~at:(max !sealed start)
-               "chain: seal epoch %d hash mismatch at record %d (records [%d, %d) tampered)"
-               h.epoch h.records (max !sealed start) h.records
-           | _ -> ());
-        sealed := max !sealed h.records
-      end)
-    seals;
   (* An undecodable block is tampering unless the caller accepts a torn
-     tail and every sealed record is accounted for — then the wreck can
-     only be the unsealed suffix of the final flush. *)
-  let tail_ok = lenient_tail && !sealed <= total in
-  List.iter (fun reason -> if not tail_ok then err "chain: %s" reason) bads;
+     tail: a seal travels in the block holding the records it covers,
+     so a torn final flush can only shorten the chain, and a wreck
+     anywhere else leaves a gap the walk has already reported. *)
+  if not lenient_tail then List.iter (fun reason -> err "chain: %s" reason) bads;
   (* Anchor: a previously trusted head must still lie on this chain. *)
   (match from with
    | None -> ()
@@ -220,7 +199,7 @@ let verify ?from ?(lenient_tail = false) items =
             validate the anchor"
          f.records start
      else (
-       match Hashtbl.find_opt heads_at f.records with
+       match !anchor with
        | Some walked when not (String.equal walked f.hash) ->
          err ~at:0 "chain: trusted head at record %d is not on this chain: history was rewritten"
            f.records

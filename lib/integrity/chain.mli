@@ -1,15 +1,16 @@
 (** Tamper-evident hash chain over the audit trail.
 
     Every audit record extends a running SHA-256 head
-    ([head' = SHA256(head || canonical_record)]); at each durability
-    barrier the head is sealed into an epoch record flushed with the
-    records it covers. A drive-level attacker can truncate the unsealed
-    tail (indistinguishable from a crash, and reported as tail loss),
-    but cannot rewrite, drop, reorder or fork any sealed record without
-    {!verify} pinpointing the damage. *)
+    ([head' = SHA256(head || canonical_record)]); the last block of each
+    durability barrier's flush seals the head after its own records
+    under the next epoch number. A drive-level attacker can truncate the
+    chain to a shorter prefix (indistinguishable from a crash, and
+    reported as tail loss when past the newest seal), but cannot
+    rewrite, drop, reorder or fork any sealed record without {!verify}
+    pinpointing the damage. *)
 
 type head = {
-  epoch : int;  (** seal count; 0 = nothing sealed yet *)
+  epoch : int;  (** sealing flushes so far; 0 = nothing sealed yet *)
   records : int;  (** records chained up to this head *)
   hash : string;  (** 32-byte SHA-256 running digest *)
 }
@@ -32,10 +33,12 @@ val read_head : S4_util.Bcodec.reader -> head
 
 (** {1 Verification} *)
 
-type block = { b_start : int; b_prior : string; b_canons : Bytes.t list }
-type seal = { s_head : head; s_at : int64 }
+type block = { b_start : int; b_prior : string; b_canons : Bytes.t list; b_seal : head option }
+(** An audit block: global index of its first record, the chain head
+    before it, the canonical encodings of its records, and, when it
+    closes a barrier's flush, the head after them. *)
 
-type item = Block of block | Seal of seal | Bad of string
+type item = Block of block | Bad of string
 
 type verify_result = {
   v_records : int;
@@ -51,9 +54,10 @@ type verify_result = {
 val verify : ?from:head -> ?lenient_tail:bool -> item list -> verify_result
 (** Pure chain verification. [from] is a previously trusted head that
     must still lie on the chain (incremental verification / rollback
-    detection). [lenient_tail] accepts undecodable blocks as long as
-    every sealed record is accounted for — the kill -9 recovery case,
-    where only the unsealed suffix of the final flush can be torn. *)
+    detection). [lenient_tail] accepts undecodable blocks — the kill -9
+    recovery case, where the final flush can be torn: its seal travels
+    in its last block, so a torn flush only shortens the chain, and
+    losing a block anywhere else still leaves a gap the walk reports. *)
 
 val clean : verify_result -> bool
 val pp_result : Format.formatter -> verify_result -> unit

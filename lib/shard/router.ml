@@ -278,12 +278,12 @@ let merge_audit resps =
 
 (* A meta-shard object replicating every member drive's sealed audit
    chain head. It is written inside the same durability barrier that
-   seals the members, so after any crash the catalog is at most one
-   epoch away from each member; any deeper disagreement means a chain
-   was rolled back or forked behind the array's back. The object is
-   array-private (admin-only ACL, excluded from placement) and found
-   again at attach through a reserved name in the meta drive's
-   partition table. *)
+   makes the members' seals durable, so after any crash the catalog is
+   at most one epoch away from each member; any deeper disagreement
+   means a chain was rolled back or forked behind the array's back.
+   The object is array-private (admin-only ACL, excluded from
+   placement) and found again at attach through a reserved name in the
+   meta drive's partition table. *)
 
 let catalog_name = ".s4/integrity"
 
@@ -301,9 +301,7 @@ let drive_entries t =
    (its own seals plus the disk-header anchor already cover it). *)
 let catalog_wanted t =
   (match all_drives t with [] | [ _ ] -> false | _ -> true)
-  && List.exists
-       (fun d -> Drive.integrity_enabled d && Audit.enabled (Drive.audit d))
-       (all_drives t)
+  && List.exists (fun d -> Audit.enabled (Drive.audit d)) (all_drives t)
 
 (* The stores a catalog write lands on: every live replica of the meta
    member (a failed replica's store may be unusable; the next write
@@ -380,15 +378,15 @@ let array_window t =
       if Int64.compare w acc > 0 then w else acc)
     0L (all_drives t)
 
-(* Pin every member's about-to-be-sealed head into the catalog. Runs
-   inside the barrier's charge, after chaining all buffered records and
-   before the member barriers, so the catalog write is made durable by
-   the same barrier whose seals it records. Direct store access: the
+(* Seal every member's audit chain and pin the sealed heads into the
+   catalog. Runs inside the barrier's charge, before the member
+   barriers, so the catalog write is made durable by the same barrier
+   that makes the seals it records durable. Direct store access: the
    catalog write itself must not generate audit records, or the heads
    it just recorded would be stale the moment it landed.
 
    The update is a merge, not a rebuild: a member that is absent this
-   barrier (shard removed, integrity switched off) keeps its last
+   barrier (shard removed, auditing switched off) keeps its last
    recorded floor — still evidence against a rewrite — until the
    floor's [at] stamp ages past the detection window, at which point
    it is pruned like any other expired history. *)
@@ -407,8 +405,7 @@ let update_catalog t =
       let live_heads =
         List.filter_map
           (fun (sid, ri, d) ->
-            if Drive.integrity_enabled d && Audit.enabled (Drive.audit d) then
-              Some (sid, ri, Audit.prospective_head (Drive.audit d))
+            if Audit.enabled (Drive.audit d) then Some (sid, ri, Audit.sealed_head (Drive.audit d))
             else None)
           (drive_entries t)
       in
@@ -442,7 +439,7 @@ let catalog_errors t =
   | `Ok entries ->
     List.concat_map
       (fun (sid, ri, d) ->
-        if not (Drive.integrity_enabled d && Audit.enabled (Drive.audit d)) then []
+        if not (Audit.enabled (Drive.audit d)) then []
         else begin
           let member = Audit.sealed_head (Drive.audit d) in
           let where = Printf.sprintf "shard %d/%s" sid (replica_name ri) in
@@ -487,7 +484,7 @@ let repair_catalog t =
     let entries' =
       List.fold_left
         (fun acc (sid, ri, d) ->
-          if not (Drive.integrity_enabled d && Audit.enabled (Drive.audit d)) then acc
+          if not (Audit.enabled (Drive.audit d)) then acc
           else begin
             let member = Audit.sealed_head (Drive.audit d) in
             match Catalog.find acc ~shard:sid ~replica:ri with
@@ -662,10 +659,10 @@ let handle t cred req =
         let sh = shard t t.meta in
         charge t [ sh ] (fun () -> dispatch sh cred req)
       | Rpc.Sync ->
-        (* The admin-path durability barrier: pin every member's head
-           into the catalog first, then fan the Sync out — each member's
-           seal then matches the entry just recorded, and the catalog
-           write itself is synced by the meta member's barrier. *)
+        (* The admin-path durability barrier: seal every member and
+           pin its head into the catalog first, then fan the Sync out —
+           each member's sync makes the seal just recorded durable, and
+           the meta member's makes the catalog write durable. *)
         let all = shards t in
         charge t all (fun () ->
             update_catalog t;

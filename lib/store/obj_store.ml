@@ -476,7 +476,9 @@ let touch_object t obj =
   | () -> ()
   | exception Not_found ->
     (* Metadata fault: read the checkpoint image and the journal blocks
-       written since (bounded; they are usually cached). *)
+       written since (the newest 16; they are usually cached), in
+       address order, so a read-ahead run that starts at an older block
+       covers the newer ones after it. *)
     List.iter (fun a -> ignore (block t a)) obj.o_ckpt_addrs;
     let distinct = Hashtbl.create 8 in
     let budget = ref 16 in
@@ -484,10 +486,10 @@ let touch_object t obj =
       (fun re ->
         if !budget > 0 && re.jaddr <> Log.none && not (Hashtbl.mem distinct re.jaddr) then begin
           Hashtbl.replace distinct re.jaddr ();
-          decr budget;
-          ignore (block t re.jaddr)
+          decr budget
         end)
       obj.o_entries;
+    List.iter (fun a -> ignore (block t a)) (List.sort compare (Hashtbl.fold (fun a () l -> a :: l) distinct []));
     Ocache.insert t.ocache obj.o_oid () ~cost:(object_cost obj)
 
 let find_obj t oid =

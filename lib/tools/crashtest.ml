@@ -229,8 +229,9 @@ let verify ?(lenient_audit_tail = false) ~disk o =
     let recovered_audit = Audit.records (Drive.audit t2) () in
     List.iter (fun m -> add "fsck: %s" m) (Drive.fsck t2);
     (* The recovered hash chain must show truncation at worst, never
-       tampering: a crash can tear or lose the unsealed tail of the
-       final flush (hence lenient), but every sealed record must walk. *)
+       tampering: a crash can tear or lose the blocks of the final
+       flush, seal included (hence lenient), but every record that
+       survives must walk. *)
     List.iter
       (fun e -> add "%s" e)
       (Audit.verify ~lenient_tail:true (Drive.audit t2)).Chain.v_errors;
@@ -774,10 +775,11 @@ let recrc b =
   Bcodec.frame ~size:n (fun w -> Bcodec.w_raw w (Bytes.sub b 0 (n - 4)))
 
 (* Forge a CRC-valid variant of a persisted audit block whose records
-   decode differently — a surgical edit of sealed history. Scans for a
-   single-byte flip in the record region that keeps the block
-   decodable; if none exists the flip at the scan origin stands (an
-   undecodable block is also a rewrite the chain must catch). *)
+   decode differently — a surgical edit of sealed history. Scans the
+   record region (from the offset the codec reports) for a single-byte
+   flip that keeps the block decodable; if none exists the flip at the
+   scan origin stands (an undecodable block is also a rewrite the chain
+   must catch). *)
 let forge_record_edit original =
   let n = Bytes.length original in
   let flipped i =
@@ -785,16 +787,18 @@ let forge_record_edit original =
     Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x20));
     recrc b
   in
-  let base = Audit.decode_block original in
+  let records b = Option.map (fun (d : Audit.block) -> d.Audit.records) (Audit.decode_block b) in
+  let base = records original in
+  let origin = Option.get (Audit.records_offset original) in
   let rec scan i =
-    if i >= n - 4 then flipped 44
+    if i >= n - 4 then flipped origin
     else
       let b = flipped i in
-      match (base, Audit.decode_block b) with
+      match (base, records b) with
       | Some r0, Some r1 when r0 <> r1 -> b
       | _ -> scan (i + 1)
   in
-  scan 44
+  scan origin
 
 let tamper_scenario ~seed inject =
   let disk, drive = build () in
@@ -832,15 +836,16 @@ let tamper_run ~seed tamper =
         | _ -> too_few ())
   | Reorder ->
     (* Relocate a block on the chain: patch its claimed start index
-       (the low bit of the varint at offset 10, after magic and block
-       base time) and re-CRC. Physical placement is immaterial — the
-       walk orders blocks by claimed position — so a reorder attack is
-       precisely a block claiming somebody else's position. *)
+       (the low bit of the varint at the codec's start offset) and
+       re-CRC. Physical placement is immaterial — the walk orders
+       blocks by claimed position — so a reorder attack is precisely a
+       block claiming somebody else's position. *)
     tamper_scenario ~seed (fun ~log ~poke ~addrs ->
         match addrs with
         | _ :: addr :: _ ->
           let b = Log.peek log addr in
-          Bytes.set b 10 (Char.chr (Char.code (Bytes.get b 10) lxor 1));
+          let i = Audit.start_offset in
+          Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
           poke addr (recrc b)
         | _ -> too_few ())
   | Fork ->
@@ -865,22 +870,24 @@ let tamper_clean ~seed =
   (detected, errs)
 
 (* ------------------------------------------------------------------ *)
-(* Seal atomicity: dying in the flush-to-seal gap is truncation        *)
+(* Seal atomicity: a torn final block is truncation                    *)
 
-(* The barrier writes audit records, then the seal, then syncs — one
-   flush. A SIGKILL can still land after the records reach the platter
-   but before (or while) the seal does; this reproduces that exact
-   state in-process: flush and sync the records, tear the freshly
-   flushed block down to its first sector, and abandon the process
-   state without sealing. Recovery must read it as tail truncation —
-   a crash — and never as tampering. *)
-let seal_gap_run ?(dir = Filename.get_temp_dir_name ()) ~seed () =
-  let path = Filename.concat dir (Printf.sprintf "sealgap_%d.s4" seed) in
+(* The last block of a barrier's flush carries the records and the
+   seal together. A SIGKILL can still land while that block reaches
+   the platter; this reproduces the state in-process: flush the
+   records, tear the freshly flushed block down to its first sector,
+   leave the device anchor where the last completed barrier put it
+   (the dying barrier never publishes its own), and abandon the
+   process state. Recovery must read it as tail truncation — a crash —
+   and never as tampering. *)
+let torn_block_run ?(dir = Filename.get_temp_dir_name ()) ~seed () =
+  let path = Filename.concat dir (Printf.sprintf "tornblock_%d.s4" seed) in
   let disk0 = Sim_disk.of_file (File_disk.create ~path geom) in
   let drive = Drive.format disk0 in
   let o = fresh_oracle () in
   ignore (drive_workload ~ops:48 ~seed ~drive o);
   let handled = List.length o.audit_log in
+  let anchor = Sim_disk.saved_head disk0 in
   Audit.flush (Drive.audit drive);
   Log.sync (Drive.log drive);
   (match Audit.block_addrs (Drive.audit drive) with
@@ -892,17 +899,19 @@ let seal_gap_run ?(dir = Filename.get_temp_dir_name ()) ~seed () =
      Bytes.fill torn ss (bs - ss) '\000';
      Sim_disk.poke disk0 ~lba:(addr * (bs / ss)) ~data:torn
    | [] -> ());
+  Sim_disk.set_head_provider disk0 (fun () -> anchor);
+  Sim_disk.barrier disk0;
   Sim_disk.close disk0;
   let disk2 = Sim_disk.of_file (File_disk.open_file path) in
   let snapshots, audit_checked, rviol = verify ~lenient_audit_tail:true ~disk:disk2 o in
   Sim_disk.close disk2;
-  (* Strict re-walk of what survived: the gap must read as unsealed
-     tail loss (no bad record, no chain error), not tampering. *)
+  (* Strict re-walk of what survived: the torn block must read as a
+     shorter chain (no bad record, no chain error), not tampering. *)
   let disk3 = Sim_disk.of_file (File_disk.open_file path) in
   let strict =
     match (try Ok (Drive.attach disk3) with e -> Error e) with
     | Ok t3 -> Audit.verify (Drive.audit t3)
-    | Error e -> failwith ("seal gap: reattach raised " ^ Printexc.to_string e)
+    | Error e -> failwith ("torn block: reattach raised " ^ Printexc.to_string e)
   in
   Sim_disk.close disk3;
   let report =

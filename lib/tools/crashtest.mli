@@ -131,15 +131,16 @@ val tamper_clean : seed:int -> bool * string list
 (** Control: the same scenario with no injection must verify clean
     ([false], no errors). *)
 
-val seal_gap_run :
+val torn_block_run :
   ?dir:string -> seed:int -> unit -> report * S4_integrity.Chain.verify_result
 (** Seal-atomicity regression: flush and sync audit records, tear the
-    flushed block to its first sector, and abandon the process without
-    sealing — the state a SIGKILL leaves when it lands between the
-    record write and the seal write of one barrier. The report must be
-    violation-free (lenient recovery reads it as a crash) and the
-    strict re-walk must show no chain error and no bad record — tail
-    truncation, never tampering. *)
+    last flushed block (records and seal together) to its first
+    sector, leave the device anchor at the last completed barrier, and
+    abandon the process — the state a SIGKILL leaves when it lands
+    while a barrier's final block reaches the platter. The
+    report must be violation-free (lenient recovery reads it as a
+    crash) and the strict re-walk must show no chain error and no bad
+    record — tail truncation, never tampering. *)
 
 (** {1 PostMark under kill -9} *)
 

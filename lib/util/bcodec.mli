@@ -50,8 +50,8 @@ val contents : writer -> Bytes.t
 
 (** {1 Self-checking blocks}
 
-    Every self-identifying on-disk block (journal, audit record and
-    seal, segment summary, checkpoint chunk and pack) is framed the
+    Every self-identifying on-disk block (journal, audit, segment
+    summary, checkpoint chunk and pack) is framed the
     same way: its body from offset 0, zero padding, and the CRC-32 of
     everything before it in the last four bytes (little-endian). *)
 

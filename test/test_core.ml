@@ -742,6 +742,21 @@ let test_off_chain_anchor_fails_closed () =
   let rec has i = i + String.length k <= String.length stats && (String.sub stats i (String.length k) = k || has (i + 1)) in
   check Alcotest.bool "pp_stats says so" true (has 0)
 
+(* An image written in another on-disk format is refused at attach,
+   before recovery reads any of its blocks, with both versions named. *)
+let test_superblock_version_checked () =
+  let _, disk, d = mk_drive ~mb:16 () in
+  check Alcotest.bool "synced" true (Drive.barrier d = None);
+  let log = Drive.log d in
+  let sb = Log.read_superblock log in
+  Bytes.set sb 4 '\001' (* the version byte, after the 4-byte magic *);
+  Log.write_superblock log sb;
+  match Drive.attach (copy_disk disk) with
+  | _ -> Alcotest.fail "a version 1 image attached"
+  | exception Invalid_argument m ->
+    check Alcotest.string "names both versions"
+      "Drive.attach: on-disk format version 1, this build reads version 2" m
+
 (* A negative oid is a malformed request: it answers [Bad_request] and
    leaves one audit record naming no object (the audit encoding has no
    negative oids). *)
@@ -798,6 +813,7 @@ let () =
             test_full_log_keeps_audit_records;
           Alcotest.test_case "an off-chain device anchor fails closed" `Quick
             test_off_chain_anchor_fails_closed;
+          Alcotest.test_case "another format version is refused" `Quick test_superblock_version_checked;
           Alcotest.test_case "create/write/read" `Quick test_drive_create_write_read;
           Alcotest.test_case "all Table-1 RPCs" `Quick test_drive_all_table1_rpcs;
           Alcotest.test_case "permission checks" `Quick test_drive_permission_checks;

@@ -1,6 +1,6 @@
 (* Golden on-disk formats. A fixed drive workload is replayed on a fresh
    disk and one block of every self-checking kind is digested: an audit
-   block, an epoch seal, a journal block, a segment summary, a dedicated
+   block, a journal block, a segment summary, a dedicated
    checkpoint chunk and a checkpoint pack, plus the whole image. The
    pinned digests fix the bytes of this on-disk layout: a change to any
    encoder, to the CRC or to the block framing shows here as a digest
@@ -56,7 +56,6 @@ let kind_of log addr tag =
   let magic = Bcodec.get_u16 b 0 in
   match tag with
   | Tag.Audit when magic = 0x5542 -> Some "audit block"
-  | Tag.Audit when magic = 0x5345 -> Some "seal"
   | Tag.Journal -> Some "journal block"
   | Tag.Checkpoint _ when magic = 0x4B43 -> Some "checkpoint chunk"
   | Tag.Ckpack when magic = 0x504B -> Some "checkpoint pack"
@@ -85,13 +84,12 @@ let golden_digests d =
 
 let pinned =
   [
-    ("audit block", "ab64cdb22c8f42af968bdb2f5b373494070ce604f4ce415e3d25f825eed748b6");
-    ("checkpoint chunk", "fbe46ed4068701b2650873bb7b698a0a4373ffa2c766fdd86c2ffcf5ad2905d6");
-    ("checkpoint pack", "1302ec4064c81a59bcde2c8d63b32b3eb582a40145ffcd57a47ed8dcf1af5497");
-    ("image", "046fef312d608c927aa85b848f4ff3e3f06f03ee30b2de377b9f4b1cc05c57dc");
+    ("audit block", "bea1822a61e00b3812214b54eb4b74a3dae7b77f1ce1b3df77961a35d3651797");
+    ("checkpoint chunk", "f35f447f8f49e10370b4213247f02d56866fe76f390552e6b57da202876f6b4b");
+    ("checkpoint pack", "2f1cd8555b7bd5412e801fbbb92697e8b493d13ce6b31ed56f3e99b7c4901e6c");
+    ("image", "7427262ba6cc191436a6def02f2899c7973f3f6342d9d834d1cde89fda7a9847");
     ("journal block", "ca44b072ea14d3bafd66e74e54b17de0b727192c56319ed4f7c60c9148fb074d");
-    ("seal", "8f7717579e4d21f434f8c130cdf8f0040cdde939ddfff9534915a2ea8170b64b");
-    ("summary", "8974ac67bec5a01f512d52fce592f252926dabacef47db56a3d0a9748f073fcd");
+    ("summary", "88c61230229dcf8b42a875c743995955ffada0ae89b6c35466498eedfad4523d");
   ]
 
 let test_golden () =

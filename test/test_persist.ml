@@ -304,12 +304,13 @@ let test_kill9_smoke () =
     (fun r -> check Alcotest.bool "acked ops ran" true (r.Crashtest.ops_before_crash > 0))
     reports
 
-(* SIGKILL between the audit flush and the seal write must read back as
-   a crash-truncated tail, never as tampering. *)
-let test_seal_gap () =
-  let report, strict = Crashtest.seal_gap_run ~seed:907 () in
+(* SIGKILL while a barrier's last audit block (records and seal
+   together) reaches the platter must read back as a crash-truncated
+   chain, never as tampering. *)
+let test_torn_final_block () =
+  let report, strict = Crashtest.torn_block_run ~seed:907 () in
   if report.Crashtest.violations <> [] then
-    Alcotest.failf "seal gap %a" Crashtest.pp_report report;
+    Alcotest.failf "torn final block %a" Crashtest.pp_report report;
   check Alcotest.bool "strict chain clean" true (S4_integrity.Chain.clean strict);
   check Alcotest.int "no record read as tampered" (-1) strict.S4_integrity.Chain.v_first_bad
 
@@ -415,7 +416,7 @@ let () =
       ( "kill9",
         [
           Alcotest.test_case "three real kills" `Quick test_kill9_smoke;
-          Alcotest.test_case "seal gap reads as truncation" `Quick test_seal_gap;
+          Alcotest.test_case "torn final block reads as truncation" `Quick test_torn_final_block;
           Alcotest.test_case "postmark: zero acked-write loss" `Quick test_postmark_kill9;
         ] );
     ]
