@@ -85,10 +85,18 @@ let open_session image user =
   Simclock.advance clock (Simclock.of_seconds 1.0);
   { clock; disk; drive; tr }
 
+(* The last barrier before an image is saved also makes the audit
+   record of the request before it durable. *)
+let barrier_or_die drive =
+  match Drive.barrier drive with
+  | None -> ()
+  | Some e ->
+    Format.eprintf "error: sync: %a@." Rpc.pp_error e;
+    exit 1
+
 let close_session image s =
   (match Drive.handle s.drive Rpc.admin_cred Rpc.Sync with Rpc.R_unit -> () | _ -> ());
-  Audit.flush (Drive.audit s.drive);
-  Log.sync (Drive.log s.drive);
+  barrier_or_die s.drive;
   S4_tools.Disk_image.save_any image s.clock s.disk;
   Sim_disk.close s.disk
 
@@ -179,8 +187,7 @@ let cmd_format =
     let drive = Drive.format ~config disk in
     let tr = Translator.mount (Translator.Backend (Drive.backend drive)) in
     ignore tr;
-    Audit.flush (Drive.audit drive);
-    Log.sync (Drive.log drive);
+    barrier_or_die drive;
     S4_tools.Disk_image.save_any image clock disk;
     Sim_disk.close disk;
     Printf.printf "formatted %s: %d MB self-securing drive, %.1f-day window%s\n" image size_mb

@@ -127,9 +127,10 @@ let run image host port max_frame max_inflight max_batch no_admin max_seconds ds
    | Rpc.R_error e -> fail "final Sync refused: %s" (Format.asprintf "%a" Rpc.pp_error e)
    | _ -> fail "final Sync returned an unexpected ack"
    | exception e -> fail "final Sync raised: %s" (Printexc.to_string e));
+  (match Drive.barrier drive with
+   | None -> ()
+   | Some e -> fail "final barrier refused: %s" (Format.asprintf "%a" Rpc.pp_error e));
   (try
-     Audit.flush (Drive.audit drive);
-     Log.sync (Drive.log drive);
      S4_tools.Disk_image.save_any image clock disk;
      S4_disk.Sim_disk.close disk
    with e -> fail "%s" (Printexc.to_string e));

@@ -3,6 +3,8 @@ module Simclock = S4_util.Simclock
 module Chain = S4_integrity.Chain
 module Log = S4_seglog.Log
 module Tag = S4_seglog.Tag
+module Jblock = S4_seglog.Jblock
+module Store = S4_store.Obj_store
 
 type record = {
   at : int64;
@@ -18,7 +20,9 @@ let magic = 0x5542 (* "BU" *)
 
 (* One decoded audit block. Every block carries its chain position
    ([start], [prior]) and the prune floor in force when it was written;
-   the last block of each sealing flush also carries the seal. *)
+   a barrier's tail also carries the seal. A block is standalone (its
+   own log block) or shared (the trailing section of a journal
+   block). *)
 type block = {
   base : int64;
   start : int;
@@ -29,26 +33,36 @@ type block = {
 }
 
 (* A live block of the log at [addr]; the cleaner's moves update [addr]
-   in place. *)
+   in place. A shared block's slot is a journal block the store holds
+   for us. *)
 type placed = {
   mutable addr : int;
   start : int;
   newest : int64;  (* newest record's time; [Int64.min_int] for none *)
+  shared : bool;
 }
 
+(* A tail sealed at a barrier whose block has not been appended yet:
+   its records, chain position and seal are fixed, so a barrier that
+   fails (a full log, a media fault) leaves it for the next one with
+   the same epoch and head. *)
+type sealed = { block : block; head : string; section : Bytes.t }
+
 type t = {
+  store : Store.t;
   log : Log.t;
   mutable enabled : bool;
-  mutable buffer : record list;  (* newest first *)
+  mutable buffer : record list;  (* newest first; records past [sealed] *)
   mutable buffer_bytes : int;
+  mutable sealed : sealed option;
   mutable blocks : placed list;  (* newest first *)
   mutable nrecords : int;
-  (* Hash chain state over flushed records. Buffered records are not
-     yet chained: they join the chain in flush order, so the chain is
-     exactly the persisted record sequence. *)
-  mutable chain_head : string;  (* head after the last flushed record *)
-  mutable chained : int;  (* global index: flushed records since format *)
-  mutable last_seal : Chain.head;
+  (* Hash chain state over appended records. Buffered and sealed
+     records are not yet chained: they join the chain in append order,
+     so the chain is exactly the persisted record sequence. *)
+  mutable chain_head : string;  (* head after the last appended record *)
+  mutable chained : int;  (* global index: appended records since format *)
+  mutable last_seal : Chain.head;  (* newest seal appended *)
   mutable seal_start : int;  (* start of the block carrying [last_seal]; max_int for none *)
   mutable floor : int;  (* first record index expiry kept *)
   (* Blocks by address, for the cleaner's moves: built at the first
@@ -57,12 +71,14 @@ type t = {
   mutable index : (int, placed) Hashtbl.t option;
 }
 
-let create ?(enabled = true) log =
+let create ?(enabled = true) store =
   {
-    log;
+    store;
+    log = Store.log store;
     enabled;
     buffer = [];
     buffer_bytes = 0;
+    sealed = None;
     blocks = [];
     nrecords = 0;
     chain_head = Chain.genesis_hash;
@@ -162,36 +178,53 @@ let canonical r =
   Bcodec.w_u8 w (if r.ok then 1 else 0);
   b
 
-(* Block layout: magic, base time, chain start index, prior head,
-   floor, seal, count, records..., zero pad, crc in the last 4 bytes —
-   self-identifying like journal blocks. The start index and prior head
-   let verification resume at any block boundary (incremental verify,
+(* Block body: magic, base time, chain start index, prior head, floor,
+   seal, count, records. The start index and prior head let
+   verification resume at any block boundary (incremental verify,
    pruned logs). The seal is a flag byte, then for a sealed block the
-   epoch and the head after the block's records. *)
-let start_offset = 10
+   epoch and the head after the block's records. A standalone block is
+   the body framed like a journal block (zero pad, crc in the last 4
+   bytes); a shared one is the body as a journal block's trailing
+   section, under that block's frame. *)
+let w_body w b =
+  Bcodec.w_u16 w magic;
+  Bcodec.w_i64 w b.base;
+  Bcodec.w_int w b.start;
+  Bcodec.w_raw w (Bytes.unsafe_of_string b.prior);
+  Bcodec.w_int w b.floor;
+  (match b.seal with
+   | None -> Bcodec.w_u8 w 0
+   | Some h ->
+     Bcodec.w_u8 w 1;
+     Bcodec.w_int w h.Chain.epoch;
+     Bcodec.w_raw w (Bytes.unsafe_of_string h.Chain.hash));
+  Bcodec.w_int w (List.length b.records);
+  List.iter (fun r -> w_record w ~base:b.base r) b.records
 
-let encode_block block_size b =
-  Bcodec.frame ~size:block_size (fun w ->
-      Bcodec.w_u16 w magic;
-      Bcodec.w_i64 w b.base;
-      Bcodec.w_int w b.start;
-      Bcodec.w_raw w (Bytes.unsafe_of_string b.prior);
-      Bcodec.w_int w b.floor;
-      (match b.seal with
-       | None -> Bcodec.w_u8 w 0
-       | Some h ->
-         Bcodec.w_u8 w 1;
-         Bcodec.w_int w h.Chain.epoch;
-         Bcodec.w_raw w (Bytes.unsafe_of_string h.Chain.hash));
-      Bcodec.w_int w (List.length b.records);
-      List.iter (fun r -> w_record w ~base:b.base r) b.records)
+let encode_block block_size b = Bcodec.frame ~size:block_size (fun w -> w_body w b)
 
-(* A decoded block, and the offset of its first record. *)
+let encode_section b =
+  let w = Bcodec.writer ~capacity:256 () in
+  w_body w b;
+  Bcodec.contents w
+
+(* Where the body in [b] starts: 0 for a standalone block, the
+   trailing section of a journal block. *)
+let body_offset b =
+  if Bytes.length b >= 18 && Bcodec.get_u16 b 0 = magic then
+    if Bcodec.check_frame b then Some 0 else None
+  else Option.map fst (Jblock.tail b)
+
+let start_offset b = Option.map (fun off -> off + 10) (body_offset b)
+
+(* A decoded block, and the offset of its first record in [b]. *)
 let decode b =
-  if Bytes.length b < 18 || Bcodec.get_u16 b 0 <> magic || not (Bcodec.check_frame b) then None
-  else
+  match body_offset b with
+  | None -> None
+  | Some off -> (
     try
-      let rd = Bcodec.reader ~pos:2 b in
+      let rd = Bcodec.reader ~pos:off b in
+      if Bcodec.r_u16 rd <> magic then raise (Bcodec.Decode_error "audit block: bad magic");
       let base = Bcodec.r_i64 rd in
       let start = Bcodec.r_int rd in
       let prior = Bytes.to_string (Bcodec.r_raw rd Chain.hash_len) in
@@ -210,7 +243,7 @@ let decode b =
       let records = List.init count (fun _ -> r_record rd ~base) in
       let seal = Option.map (fun (epoch, hash) -> { Chain.epoch; records = start + count; hash }) seal in
       Some ({ base; start; prior; floor; seal; records }, pos)
-    with Bcodec.Decode_error _ -> None
+    with Bcodec.Decode_error _ -> None)
 
 let decode_block b = Option.map fst (decode b)
 let records_offset b = Option.map snd (decode b)
@@ -236,46 +269,69 @@ let take_block block_size chrono =
 
 let newest_of records = List.fold_left (fun acc r -> max acc r.at) Int64.min_int records
 
-(* Append one block holding [group] (oldest first) at the chain's end;
-   [seal] makes it carry the next epoch and the head after [group].
-   The chain state moves only once [Log.append] has returned the
-   block's address. *)
-let emit t ~seal group =
+(* The block holding [group] (oldest first) at the chain's end, and the
+   head after it; [seal] makes it carry the next epoch and that head. *)
+let next_block t ~seal group =
   let start = t.chained in
   let head = List.fold_left (fun h r -> Chain.extend h (canonical r)) t.chain_head group in
-  let n = List.length group in
   let seal =
-    if seal then Some { Chain.epoch = t.last_seal.Chain.epoch + 1; records = start + n; hash = head }
+    if seal then
+      Some { Chain.epoch = t.last_seal.Chain.epoch + 1; records = start + List.length group; hash = head }
     else None
   in
   let base = match group with r :: _ -> r.at | [] -> 0L in
-  let data =
-    encode_block (Log.block_size t.log)
-      { base; start; prior = t.chain_head; floor = t.floor; seal; records = group }
-  in
-  let addr = Log.append t.log Tag.Audit ~data () in
-  t.blocks <- { addr; start; newest = newest_of group } :: t.blocks;
+  ({ base; start; prior = t.chain_head; floor = t.floor; seal; records = group }, head)
+
+(* The chain state moves only once the block holding [b] has its
+   address. *)
+let appended t ~addr ~shared (b : block) ~head =
+  t.blocks <- { addr; start = b.start; newest = newest_of b.records; shared } :: t.blocks;
   t.index <- None;
   t.chain_head <- head;
-  t.chained <- start + n;
+  t.chained <- b.start + List.length b.records;
   Option.iter
     (fun h ->
       t.last_seal <- h;
-      t.seal_start <- start)
-    seal
+      t.seal_start <- b.start)
+    b.seal
 
-(* Write the buffer out, sealing its last block when [seal]. Records
-   leave the buffer only once their block is appended: a full log (or
-   a media fault) part-way through keeps the rest buffered. *)
-let flush_buffer t ~seal =
+let append_standalone t b ~head =
+  let addr = Log.append t.log Tag.Audit ~data:(encode_block (Log.block_size t.log) b) () in
+  appended t ~addr ~shared:false b ~head
+
+(* A tail sealed at a barrier that failed precedes anything appended
+   after it on the chain, so it goes out first, in a block of its
+   own. *)
+let write_sealed t =
+  match t.sealed with
+  | Some s ->
+    append_standalone t s.block ~head:s.head;
+    t.sealed <- None
+  | None -> ()
+
+(* Append a standalone block holding [group] at the chain's end. *)
+let emit t ~seal group =
+  write_sealed t;
+  let b, head = next_block t ~seal group in
+  append_standalone t b ~head
+
+(* [group_rev] (newest first) left the buffer, [rest] (oldest first)
+   stays. *)
+let unbuffer t group_rev rest =
+  List.iter (fun r -> t.buffer_bytes <- t.buffer_bytes - record_wire_bytes r) group_rev;
+  t.buffer <- List.rev rest
+
+(* Write the buffer out in unsealed blocks. Records leave the buffer
+   only once their block is appended: a full log (or a media fault)
+   part-way through keeps the rest buffered. *)
+let flush_buffer t =
   let block_size = Log.block_size t.log in
   let rec go chrono =
     match take_block block_size chrono with
     | [], _ -> ()
     | group_rev, rest ->
-      emit t ~seal:(seal && rest = []) (List.rev group_rev);
-      List.iter (fun r -> t.buffer_bytes <- t.buffer_bytes - record_wire_bytes r) group_rev;
-      t.buffer <- List.rev rest;
+      emit t ~seal:false (List.rev group_rev);
+      unbuffer t group_rev rest;
       go rest
   in
   go (List.rev t.buffer)
@@ -292,19 +348,55 @@ let append t r =
       t.nrecords <- t.nrecords + 1
     in
     if t.buffer_bytes + sz + overhead > Log.block_size t.log then
-      Fun.protect ~finally:push (fun () -> flush_buffer t ~seal:false)
+      Fun.protect ~finally:push (fun () -> flush_buffer t)
     else push ()
   end
 
-(* The durability barrier's half of the audit trail: the last block of
-   the flush seals the chain, so records and their seal reach the disk
-   in one block write and a torn flush reads as a shorter chain. With
-   nothing buffered, a chain that has records past its newest seal (a
-   recovered unsealed tail) gets one record-less sealed block; else
-   nothing is written. *)
-let flush t =
-  if t.buffer <> [] then flush_buffer t ~seal:true
-  else if t.chained > t.last_seal.Chain.records then emit t ~seal:true []
+(* The durability barrier's half of the audit trail: seal the buffered
+   records into a tail that rides in the store's last journal block, so
+   journal entries, records and seal reach the disk in one block write
+   and a torn barrier reads as a shorter chain. A tail too big for a
+   journal block of its own first writes its oldest records out in
+   unsealed blocks. With nothing buffered, a chain that has records
+   past its newest seal (a recovered unsealed tail) gets a record-less
+   sealed tail; else there is nothing to seal. Sealing again before the
+   tail is appended returns the same tail. *)
+let seal t =
+  let block_size = Log.block_size t.log in
+  let rec seal_buffer () =
+    let chrono = List.rev t.buffer in
+    let b, head = next_block t ~seal:true chrono in
+    let section = encode_section b in
+    if Jblock.tail_fits ~block_size ~current:0 (Bytes.length section) then begin
+      t.sealed <- Some { block = b; head; section };
+      unbuffer t chrono []
+    end
+    else begin
+      let group_rev, rest = take_block block_size chrono in
+      emit t ~seal:false (List.rev group_rev);
+      unbuffer t group_rev rest;
+      seal_buffer ()
+    end
+  in
+  if t.buffer <> [] then begin
+    write_sealed t;
+    seal_buffer ()
+  end
+  else if t.sealed = None && t.chained > t.last_seal.Chain.records then begin
+    let b, head = next_block t ~seal:true [] in
+    t.sealed <- Some { block = b; head; section = encode_section b }
+  end;
+  Option.map
+    (fun s ->
+      let on_append addr =
+        match t.sealed with
+        | Some s' when s' == s ->
+          appended t ~addr ~shared:true s.block ~head:s.head;
+          t.sealed <- None
+        | _ -> ()
+      in
+      { Store.section = s.section; on_append })
+    t.sealed
 
 let block_count t = List.length t.blocks
 let block_addrs t = List.map (fun p -> p.addr) t.blocks
@@ -314,7 +406,11 @@ let record_count t = t.nrecords
 (* Chain state, reads and expiry                                      *)
 
 let chained t = t.chained
-let sealed_head t = t.last_seal
+
+let sealed_head t =
+  match t.sealed with Some { block = { seal = Some h; _ }; _ } -> h | _ -> t.last_seal
+
+let appended_head t = t.last_seal
 
 let records t ?(since = 0L) ?(until = Int64.max_int) () =
   let in_range r = Int64.compare r.at since >= 0 && Int64.compare r.at until <= 0 in
@@ -326,7 +422,8 @@ let records t ?(since = 0L) ?(until = Int64.max_int) () =
         | None -> [])
       (List.rev t.blocks)
   in
-  from_blocks @ List.filter in_range (List.rev t.buffer)
+  let sealed = match t.sealed with Some s -> List.filter in_range s.block.records | None -> [] in
+  from_blocks @ sealed @ List.filter in_range (List.rev t.buffer)
 
 (* The floor moves to the first record of the oldest block that still
    holds a record inside the window, but never past the newest sealed
@@ -349,7 +446,9 @@ let expire t ~cutoff =
     match emit t ~seal:false [] with
     | () ->
       let dropped, kept = List.partition (fun p -> p.start < floor) t.blocks in
-      List.iter (fun p -> Log.kill t.log p.addr) dropped;
+      List.iter
+        (fun p -> if p.shared then Store.release_tail t.store p.addr else Log.kill t.log p.addr)
+        dropped;
       t.blocks <- kept;
       List.length dropped
     | exception Log.Log_full ->
@@ -385,26 +484,25 @@ let on_move t ~old_addr ~new_addr =
 (* Assemble chain items from the persisted log. Forensic [Log.peek]
    (uncharged) — verification is an offline examination, not workload
    I/O. A block the drive believes is live but no longer decodes is
-   reported as Bad. Only live blocks count: an expired audit block
-   stays tagged in its segment until the cleaner reclaims the segment,
-   and walking it would make the chain's tail reappear and vanish with
-   cleaning. *)
+   reported as Bad. Only live blocks count: live audit blocks, and the
+   journal blocks whose tail the store holds for the trail. An expired
+   block stays tagged in its segment until the cleaner reclaims the
+   segment (and an expired tail's journal block may stay live for its
+   entries), and walking it would make the chain's tail reappear and
+   vanish with cleaning. *)
 let chain_items t =
+  let item addr =
+    match decode_block (Log.peek t.log addr) with
+    | Some b ->
+      Chain.Block
+        { Chain.b_start = b.start; b_prior = b.prior; b_canons = List.map canonical b.records; b_seal = b.seal }
+    | None -> Chain.Bad (Printf.sprintf "undecodable audit block at addr %d" addr)
+  in
   List.filter_map
     (fun (addr, tag) ->
       match tag with
-      | Tag.Audit when Log.is_live t.log addr -> (
-        match decode_block (Log.peek t.log addr) with
-        | Some b ->
-          Some
-            (Chain.Block
-               {
-                 Chain.b_start = b.start;
-                 b_prior = b.prior;
-                 b_canons = List.map canonical b.records;
-                 b_seal = b.seal;
-               })
-        | None -> Some (Chain.Bad (Printf.sprintf "undecodable audit block at addr %d" addr)))
+      | Tag.Audit when Log.is_live t.log addr -> Some (item addr)
+      | Tag.Journal when Store.holds_tail t.store addr -> Some (item addr)
       | _ -> None)
     (Log.all_tagged t.log)
 
@@ -414,33 +512,42 @@ let verify ?from ?lenient_tail t = Chain.verify ?from ?lenient_tail (chain_items
 (* Recovery                                                            *)
 
 (* Re-find the live trail among every decodable audit block on disk,
-   dead ones included: only blocks at or above the largest floor any
-   block carries, and one copy of byte-identical blocks at one start
-   (the cleaner's relocations). Two different blocks at one start both
-   stay, for verification to report the overlap. A gap above the floor
-   stays a gap: the floor is read from the disk, not inferred from the
-   blocks that happen to survive. *)
+   dead ones included: standalone blocks, and tails in journal blocks.
+   Only blocks at or above the largest floor any block carries count,
+   and one copy of byte-identical blocks at one start (the cleaner's
+   relocations; the copy store recovery already holds for its entries,
+   if any, so both halves of a shared slot stay in one block). Two
+   different blocks at one start both stay, for verification to report
+   the overlap. A gap above the floor stays a gap: the floor is read
+   from the disk, not inferred from the blocks that happen to survive.
+   Runs after store recovery, which re-marks the journal blocks it
+   keeps. *)
 let recover t =
   let found =
     List.filter_map
       (fun (addr, tag) ->
         match tag with
-        | Tag.Audit | Tag.Unknown -> Option.map (fun b -> (addr, b)) (decode_block (Log.peek t.log addr))
+        | Tag.Audit | Tag.Unknown | Tag.Journal -> (
+          let bytes = Log.peek t.log addr in
+          match decode bytes with
+          | Some (b, _) -> Some (addr, b, Bcodec.get_u16 bytes 0 <> magic, bytes)
+          | None -> None)
         | _ -> None)
       (Log.all_tagged t.log)
+    |> List.stable_sort (fun (a, _, _, _) (b, _, _, _) ->
+           compare (not (Log.is_live t.log a)) (not (Log.is_live t.log b)))
   in
-  let floor = List.fold_left (fun acc (_, (b : block)) -> max acc b.floor) 0 found in
+  let floor = List.fold_left (fun acc (_, (b : block), _, _) -> max acc b.floor) 0 found in
   let seen = Hashtbl.create 64 in
-  let first_copy addr =
-    let bytes = Log.peek t.log addr in
+  let first_copy bytes =
     (not (Hashtbl.mem seen bytes))
     &&
     (Hashtbl.replace seen bytes ();
      true)
   in
   let live =
-    List.filter (fun (addr, (b : block)) -> b.start >= floor && first_copy addr) found
-    |> List.stable_sort (fun (_, (a : block)) (_, (b : block)) ->
+    List.filter (fun (_, (b : block), _, bytes) -> b.start >= floor && first_copy bytes) found
+    |> List.stable_sort (fun (_, (a : block), _, _) (_, (b : block), _, _) ->
            compare (a.start, a.records <> []) (b.start, b.records <> []))
   in
   (* Rebuild the running head by replaying the blocks in index order.
@@ -449,9 +556,9 @@ let recover t =
      usable head for new records. *)
   let idx = ref (-1) and hash = ref Chain.genesis_hash in
   List.iter
-    (fun (addr, (b : block)) ->
-      Log.mark_live t.log addr Tag.Audit;
-      t.blocks <- { addr; start = b.start; newest = newest_of b.records } :: t.blocks;
+    (fun (addr, (b : block), shared, _) ->
+      if shared then Store.hold_tail t.store addr else Log.mark_live t.log addr Tag.Audit;
+      t.blocks <- { addr; start = b.start; newest = newest_of b.records; shared } :: t.blocks;
       t.nrecords <- t.nrecords + List.length b.records;
       (match b.seal with
        | Some h when h.Chain.epoch > t.last_seal.Chain.epoch ->

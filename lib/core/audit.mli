@@ -11,16 +11,17 @@
 
     Records are buffered in memory and written out when a full block
     accumulates — the paper's "one disk write roughly every 750
-    operations" behaviour — so a crash can lose the tail of the audit
-    log, as in the prototype.
+    operations" behaviour. At each durability barrier the buffered
+    records are {!seal}ed into a tail that rides as the trailing
+    section of the store's last journal block, so a barrier writes no
+    block of its own for the audit trail.
 
-    The persisted log is additionally tamper-evident: each flushed
+    The persisted log is additionally tamper-evident: each appended
     record extends a SHA-256 hash chain ({!S4_integrity.Chain}), every
     block records its chain position, prior head and the prune floor,
-    and the last block of each {!flush} seals the head after its own
-    records under the next epoch. {!verify} re-walks the persisted
-    chain and pinpoints any rewrite, drop, reorder or fork of sealed
-    history. *)
+    and each barrier's tail seals the head after its own records under
+    the next epoch. {!verify} re-walks the persisted chain and
+    pinpoints any rewrite, drop, reorder or fork of sealed history. *)
 
 type record = {
   at : int64;  (** simulated time of the request *)
@@ -34,7 +35,11 @@ type record = {
 
 type t
 
-val create : ?enabled:bool -> S4_seglog.Log.t -> t
+val create : ?enabled:bool -> S4_store.Obj_store.t -> t
+(** The trail of the drive whose store is given: its blocks share the
+    store's log, and its barrier tails ride in the store's journal
+    blocks. *)
+
 val enabled : t -> bool
 val set_enabled : t -> bool -> unit
 (** Disabling stops recording (used for the Figure 6 comparison);
@@ -42,20 +47,27 @@ val set_enabled : t -> bool -> unit
 
 val append : t -> record -> unit
 (** Buffer a record; a full buffer is first written out as unsealed
-    blocks. *)
+    standalone blocks. *)
 
-val flush : t -> unit
-(** The durability barrier's audit write: the buffer goes out in blocks
-    whose last one is sealed. With nothing buffered, one record-less
-    sealed block covers records past the newest seal (a recovered
-    unsealed tail); otherwise nothing is written. *)
+val seal : t -> S4_store.Obj_store.tail option
+(** The durability barrier's half of the audit trail, for
+    {!S4_store.Obj_store.sync}: the buffered records sealed under the
+    next epoch, as a tail for the store's last journal block. A tail
+    too big for a journal block of its own first writes its oldest
+    records out as unsealed standalone blocks. With nothing buffered,
+    a record-less tail seals records past the newest seal (a recovered
+    unsealed tail); otherwise there is nothing to seal. A sealed tail
+    that has not been appended yet (the barrier failed) is returned
+    again, with the same epoch and head, until one is; records
+    buffered after it are sealed behind it, and it then goes out as a
+    standalone block first. *)
 
 val block_count : t -> int
 val record_count : t -> int
 
 val block_addrs : t -> int list
-(** Addresses of live audit blocks, newest first (for cross-layer
-    liveness checks). *)
+(** Addresses of the trail's live blocks, standalone and shared, newest
+    first (for cross-layer liveness checks). *)
 
 val records : t -> ?since:int64 -> ?until:int64 -> unit -> record list
 (** Chronological records in the given (inclusive) time range; reads
@@ -64,16 +76,21 @@ val records : t -> ?since:int64 -> ?until:int64 -> unit -> record list
 val expire : t -> cutoff:int64 -> int
 (** Move the prune floor to the first record of the oldest block holding
     a record at or after the cutoff (never past the newest sealed block),
-    write the floor in a record-less block, then free every block below
-    it; returns blocks freed. A full log frees nothing. *)
+    write the floor in a record-less standalone block, then free every
+    block below it (a shared one is released to the store, which frees
+    it once its entries are gone too); returns blocks freed. A full log
+    frees nothing. *)
 
 val on_move : t -> old_addr:int -> new_addr:int -> unit
-(** Cleaner relocation callback. *)
+(** Cleaner relocation callback, for standalone blocks and shared
+    journal blocks alike. *)
 
 val recover : t -> unit
 (** After a crash ({!S4_seglog.Log.reattach} + store recovery), re-find
-    the live trail: blocks at or above the largest floor on disk, one
-    copy of byte-identical blocks at one start, and re-mark them live. *)
+    the live trail: standalone blocks and journal-block tails at or
+    above the largest floor on disk, one copy of byte-identical blocks
+    at one start; re-mark the standalone ones live and hold the shared
+    ones in the store. *)
 
 (** {1 Block codec} Exposed for tests and forensic tools. *)
 
@@ -82,16 +99,18 @@ type block = {
   start : int;  (** chain index of the first record *)
   prior : string;  (** chain head before it *)
   floor : int;  (** prune floor when the block was written *)
-  seal : S4_integrity.Chain.head option;  (** set on the last block of a flush *)
+  seal : S4_integrity.Chain.head option;  (** set on a barrier's tail *)
   records : record list;
 }
 
 val decode_block : Bytes.t -> block option
+(** The audit block in [b]: a standalone audit block, or the tail a
+    journal block carries. *)
 
-val start_offset : int
+val start_offset : Bytes.t -> int option
 val records_offset : Bytes.t -> int option
-(** Byte offsets of the start-index varint and, in a decodable block,
-    of the first record. *)
+(** Byte offsets in [b] of the start-index varint and, in a decodable
+    block, of the first record. *)
 
 (** {1 Hash chain} *)
 
@@ -100,12 +119,18 @@ val canonical : record -> Bytes.t
     the block-level delta encoding). *)
 
 val chained : t -> int
-(** Global index of the next record to be chained (flushed records
+(** Global index of the next record to be chained (appended records
     since format). *)
 
 val sealed_head : t -> S4_integrity.Chain.head
-(** Head pinned by the newest sealed block; {!S4_integrity.Chain.genesis}
-    if nothing is sealed yet. *)
+(** Head pinned by the newest seal, including a tail sealed but not yet
+    appended (what the barrier under way makes durable);
+    {!S4_integrity.Chain.genesis} if nothing is sealed yet. *)
+
+val appended_head : t -> S4_integrity.Chain.head
+(** Head pinned by the newest seal appended to the log: what a device
+    barrier, which forces everything appended, may record as its
+    anchor. *)
 
 val verify :
   ?from:S4_integrity.Chain.head ->

@@ -76,8 +76,9 @@ let detection_cutoff t =
 
 let superblock_magic = 0x5342_3453 (* "S4SB" *)
 
-(* Version 2: audit blocks seal themselves and carry the prune floor. *)
-let superblock_version = 2
+(* Version 3: a barrier's sealed audit tail rides in its journal
+   block. *)
+let superblock_version = 3
 
 let write_superblock t =
   let w = Bcodec.writer () in
@@ -151,15 +152,17 @@ let build cfg log store ~ptable_oid =
     Cleaner.create ~window:cfg.window ~live_threshold:cfg.cleaner_live_threshold
       ~max_segments_per_run:cfg.cleaner_max_segments store
   in
-  let audit = Audit.create ~enabled:cfg.audit_enabled log in
+  let audit = Audit.create ~enabled:cfg.audit_enabled store in
   Cleaner.set_on_audit_move cleaner (fun old_addr new_addr -> Audit.on_move audit ~old_addr ~new_addr);
   let throttle = Option.map (fun tc -> Throttle.create ~config:tc (Log.clock log)) cfg.throttle in
   Log.set_io_retry log ~limit:cfg.io_retry_limit ~backoff_ms:cfg.io_retry_backoff_ms;
   (* Every device-level sync snapshots the sealed chain head into the
      disk's own header — a second, device-held trust anchor an attacker
-     rewriting the log cannot update without also forging SHA-256. *)
+     rewriting the log cannot update without also forging SHA-256. A
+     device sync forces what is appended, so the anchor is the newest
+     appended seal, never a tail still waiting for its block. *)
   Sim_disk.set_head_provider (Log.disk log) (fun () ->
-      if Audit.enabled audit then Some (Audit.sealed_head audit) else None);
+      if Audit.enabled audit then Some (Audit.appended_head audit) else None);
   {
     cfg;
     log;
@@ -263,6 +266,13 @@ let note_growth t (cred : Rpc.credential) bytes =
   | Some th -> Throttle.note_write th ~client:cred.Rpc.client ~bytes
   | None -> ()
 
+(* The audit trail shares the durability barrier: records buffered up
+   to this point must survive a crash once the sync returns. They are
+   sealed into a tail that rides in the store's last journal block, so
+   the barrier writes one metadata block, journal entries, records and
+   seal together. *)
+let sync t = Store.sync ?tail:(Audit.seal t.audit) t.store
+
 let exec t (cred : Rpc.credential) (req : Rpc.req) : Rpc.resp =
   let st = t.store in
   match req with
@@ -349,12 +359,7 @@ let exec t (cred : Rpc.credential) (req : Rpc.req) : Rpc.resp =
      | Some oid -> Rpc.R_oid oid
      | None -> Rpc.R_error Rpc.Not_found)
   | Rpc.Sync ->
-    (* The audit trail shares the durability barrier: records buffered
-       up to this point must survive a crash once the sync returns. The
-       seal travels in the last block of the flush, with the records it
-       covers. *)
-    Audit.flush t.audit;
-    Store.sync st;
+    sync t;
     Rpc.R_unit
   | Rpc.Flush { until } ->
     if not cred.Rpc.admin then raise Denied;
@@ -481,8 +486,7 @@ let barrier t =
      here means the caller must not be told its mutations are durable;
      a full log answers [No_space], as an explicit [Sync] does. *)
   try
-    Audit.flush t.audit;
-    Store.sync t.store;
+    sync t;
     None
   with
   | Log.Log_full -> Some Rpc.No_space

@@ -74,8 +74,9 @@ val handle : t -> Rpc.credential -> Rpc.req -> Rpc.resp
     answers [Bad_request] and is audited as naming no object. *)
 
 val barrier : t -> Rpc.error option
-(** The durability barrier on its own: flush buffered audit records,
-    then sync the store. [None] on success; [Some (Io_error _)] if the
+(** The durability barrier on its own: seal buffered audit records into
+    a tail, then sync the store, whose last journal block carries the
+    tail (see {!Audit.seal}). [None] on success; [Some (Io_error _)] if the
     media failed while persisting (the drive keeps serving, degraded);
     [Some No_space] if the log is full.
     Exposed so multi-drive layers (mirror, shard router) can end their

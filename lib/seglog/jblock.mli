@@ -7,7 +7,13 @@
     the previous sync, carries a backward pointer to the previous
     journal block (the paper's backward-in-time chaining), and is
     self-identifying (magic + CRC) so crash recovery can find journal
-    blocks even in a segment whose summary was never written. *)
+    blocks even in a segment whose summary was never written.
+
+    A block may also carry one trailing section after its entries,
+    opaque to the log: the audit trail's sealed tail, which rides in the
+    barrier's last journal block instead of taking a block of its own.
+    A block without a section encodes exactly as it would if sections
+    did not exist. *)
 
 type entry = {
   oid : int64;  (** object the change applies to *)
@@ -28,9 +34,10 @@ val encoded_size : seq:int -> payload_len:int -> int
 val header_size : int
 (** Fixed per-block overhead (magic, prev pointer, count, CRC). *)
 
-val encode : block_size:int -> prev:int -> entry list -> Bytes.t
-(** Block-sized buffer (zero padded). Raises [Invalid_argument] if the
-    entries do not fit. *)
+val encode : block_size:int -> prev:int -> ?tail:Bytes.t -> entry list -> Bytes.t
+(** Block-sized buffer (zero padded), with [tail] as its trailing
+    section. Raises [Invalid_argument] if the entries and the section do
+    not fit. *)
 
 val decode : Bytes.t -> (int * entry list) option
 (** [decode b] is [Some (prev, entries)] if [b] is a well-formed
@@ -39,3 +46,11 @@ val decode : Bytes.t -> (int * entry list) option
 val fits : block_size:int -> current:int -> entry -> bool
 (** Whether an entry of the given size still fits in a block already
     holding [current] bytes of entries. *)
+
+val tail_fits : block_size:int -> current:int -> int -> bool
+(** Whether a trailing section of the given length still fits in a
+    block already holding [current] bytes of entries. *)
+
+val tail : Bytes.t -> (int * int) option
+(** [tail b] is [Some (off, len)], the place of the trailing section in
+    [b], when [b] is a well-formed journal block that carries one. *)

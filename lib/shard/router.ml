@@ -381,53 +381,60 @@ let array_window t =
 (* Seal every member's audit chain and pin the sealed heads into the
    catalog. Runs inside the barrier's charge, before the member
    barriers, so the catalog write is made durable by the same barrier
-   that makes the seals it records durable. Direct store access: the
-   catalog write itself must not generate audit records, or the heads
-   it just recorded would be stale the moment it landed.
+   that makes the seals it records durable: each member's barrier
+   writes the tail sealed here. Direct store access: the catalog write
+   itself must not generate audit records, or the heads it just
+   recorded would be stale the moment it landed.
 
    The update is a merge, not a rebuild: a member that is absent this
    barrier (shard removed, auditing switched off) keeps its last
    recorded floor — still evidence against a rewrite — until the
    floor's [at] stamp ages past the detection window, at which point
-   it is pruned like any other expired history. *)
+   it is pruned like any other expired history. A catalog that no
+   longer decodes is evidence too: it is left as it is for [fsck] to
+   report, and the meta shard serves degraded. *)
 let update_catalog t =
+  let meta = shard t t.meta in
+  let merge prev =
+    let now = Simclock.now t.clock in
+    let live_heads =
+      List.filter_map
+        (fun (sid, ri, d) ->
+          if Audit.enabled (Drive.audit d) then Some (sid, ri, Audit.sealed_head (Drive.audit d))
+          else None)
+        (drive_entries t)
+    in
+    let live ~shard ~replica =
+      List.exists (fun (sid, ri, _) -> sid = shard && ri = replica) live_heads
+    in
+    let entries =
+      List.fold_left
+        (fun acc (sid, ri, head) ->
+          match Catalog.find_entry acc ~shard:sid ~replica:ri with
+          (* Unchanged head keeps its stamp, so a quiescent array
+             does not rewrite the catalog at every barrier. *)
+          | Some e when e.Catalog.head = head -> acc
+          | _ -> Catalog.set acc ~shard:sid ~replica:ri ~at:now head)
+        prev live_heads
+      |> Catalog.prune ~now ~window:(array_window t) ~live
+    in
+    if t.catalog_cache <> Some entries then write_catalog t entries
+  in
   match t.catalog_oid with
   | None -> ()
   | Some _ -> (
     try
-      List.iter (fun d -> Audit.flush (Drive.audit d)) (all_drives t);
-      let now = Simclock.now t.clock in
-      let prev =
-        match t.catalog_cache with
-        | Some e -> e
-        | None -> ( match read_catalog t with `Ok e -> e | `No_catalog | `Bad -> [])
-      in
-      let live_heads =
-        List.filter_map
-          (fun (sid, ri, d) ->
-            if Audit.enabled (Drive.audit d) then Some (sid, ri, Audit.sealed_head (Drive.audit d))
-            else None)
-          (drive_entries t)
-      in
-      let live ~shard ~replica =
-        List.exists (fun (sid, ri, _) -> sid = shard && ri = replica) live_heads
-      in
-      let entries =
-        List.fold_left
-          (fun acc (sid, ri, head) ->
-            match Catalog.find_entry acc ~shard:sid ~replica:ri with
-            (* Unchanged head keeps its stamp, so a quiescent array
-               does not rewrite the catalog at every barrier. *)
-            | Some e when e.Catalog.head = head -> acc
-            | _ -> Catalog.set acc ~shard:sid ~replica:ri ~at:now head)
-          prev live_heads
-        |> Catalog.prune ~now ~window:(array_window t) ~live
-      in
-      if t.catalog_cache <> Some entries then write_catalog t entries
+      List.iter (fun d -> ignore (Audit.seal (Drive.audit d))) (all_drives t);
+      match t.catalog_cache with
+      | Some prev -> merge prev
+      | None -> (
+        match read_catalog t with
+        | `Ok prev -> merge prev
+        | `Bad -> meta.sh_degraded <- true
+        | `No_catalog -> ())
     with Fault.Read_fault _ | Fault.Write_fault _ | Log.Log_full ->
-      let sh = shard t t.meta in
-      sh.sh_degraded <- true;
-      sh.sh_io_errors <- sh.sh_io_errors + 1)
+      meta.sh_degraded <- true;
+      meta.sh_io_errors <- meta.sh_io_errors + 1)
 
 (* Catalog vs. member cross-check, shared by [fsck] and [Verify_log].
    The catalog is a floor: a member chain must contain its catalog

@@ -100,6 +100,7 @@ type t = {
   mutable pending : rentry list;  (* reverse chronological *)
   jrefs : (addr, int ref) Hashtbl.t;
   jback : (addr, rentry list ref) Hashtbl.t;  (* journal block -> resident entries *)
+  tails : (addr, unit) Hashtbl.t;  (* journal blocks whose audit tail is held *)
   mutable cpending : (obj * Bytes.t * int) list;  (* small images awaiting a pack flush *)
   cpack_refs : (addr, int ref) Hashtbl.t;  (* pack block -> live member count *)
   cpack_members : (addr, oid list ref) Hashtbl.t;
@@ -169,10 +170,10 @@ let jref_get t jaddr re =
   | Some l -> l := re :: !l
   | None -> Hashtbl.replace t.jback jaddr (ref [ re ])
 
-let jref_put t jaddr re =
-  (match Hashtbl.find_opt t.jback jaddr with
-   | Some l -> l := List.filter (fun x -> x != re) !l
-   | None -> ());
+(* A journal block is live while any of its references is: one per
+   resident entry, and one for the audit tail it carries while the
+   audit trail holds it. *)
+let jref_decr t jaddr =
   match Hashtbl.find_opt t.jrefs jaddr with
   | Some r ->
     decr r;
@@ -183,59 +184,101 @@ let jref_put t jaddr re =
     end
   | None -> ()
 
+let jref_put t jaddr re =
+  (match Hashtbl.find_opt t.jback jaddr with
+   | Some l -> l := List.filter (fun x -> x != re) !l
+   | None -> ());
+  jref_decr t jaddr
+
+type tail = { section : Bytes.t; on_append : addr -> unit }
+
+let hold_tail t jaddr =
+  if not (Hashtbl.mem t.tails jaddr) then begin
+    Log.mark_live t.log jaddr Tag.Journal;
+    Hashtbl.replace t.tails jaddr ();
+    match Hashtbl.find_opt t.jrefs jaddr with
+    | Some r -> incr r
+    | None -> Hashtbl.replace t.jrefs jaddr (ref 1)
+  end
+
+let release_tail t jaddr =
+  if Hashtbl.mem t.tails jaddr then begin
+    Hashtbl.remove t.tails jaddr;
+    jref_decr t jaddr
+  end
+
+let holds_tail t jaddr = Hashtbl.mem t.tails jaddr
+
 (* The first [n] elements of [l] dropped. *)
 let rec drop n l = match l with _ :: rest when n > 0 -> drop (n - 1) rest | _ -> l
 
 (* Entries leave [pending] only once their block is appended: a full
    log or a media fault part-way through a multi-block flush keeps
    every entry not yet in an appended block pending, and the error
-   still reaches the caller. *)
-let flush_journal t =
-  match t.pending with
-  | [] -> ()
-  | pending ->
-    let chronological = List.rev pending in
-    let written = ref 0 in
-    let block_size = bs t in
-    (* Each entry is encoded once, when it is sized; the group keeps
-       that form for its block. *)
-    let emit group_rev =
-      match group_rev with
-      | [] -> ()
-      | _ ->
-        let group = List.rev group_rev in
-        let data = Jblock.encode ~block_size ~prev:t.last_jaddr (List.map snd group) in
-        let jaddr = Log.append t.log Tag.Journal ~data () in
-        List.iter
-          (fun (re, _) ->
-            re.jaddr <- jaddr;
-            jref_get t jaddr re;
-            incr written)
-          group;
-        t.last_jaddr <- jaddr;
-        t.s.journal_blocks_written <- t.s.journal_blocks_written + 1
+   still reaches the caller. [tail] rides in the last block written,
+   beside its entries when it fits there, else in a block of its own
+   (with no entries, as when nothing else is pending). *)
+let flush_journal ?tail t =
+  let chronological = List.rev t.pending in
+  let written = ref 0 in
+  let block_size = bs t in
+  (* Each entry is encoded once, when it is sized; the group keeps
+     that form for its block. *)
+  let emit ?tail group_rev =
+    let group = List.rev group_rev in
+    let data =
+      Jblock.encode ~block_size ~prev:t.last_jaddr
+        ?tail:(Option.map (fun tl -> tl.section) tail)
+        (List.map snd group)
     in
-    let group = ref [] in
-    let group_size = ref 0 in
-    let add re =
-      let je = Entry.to_jentry re.e in
-      let sz = Jblock.entry_size je in
-      if not (Jblock.fits ~block_size ~current:!group_size je) then begin
-        emit !group;
-        group := [];
-        group_size := 0
-      end;
-      group := (re, je) :: !group;
-      group_size := !group_size + sz
-    in
-    match
-      List.iter add chronological;
-      emit !group
-    with
-    | () -> t.pending <- []
-    | exception e ->
-      t.pending <- List.rev (drop !written chronological);
-      raise e
+    let jaddr = Log.append t.log Tag.Journal ~data () in
+    List.iter
+      (fun (re, _) ->
+        re.jaddr <- jaddr;
+        jref_get t jaddr re;
+        incr written)
+      group;
+    t.last_jaddr <- jaddr;
+    t.s.journal_blocks_written <- t.s.journal_blocks_written + 1;
+    Option.iter
+      (fun tl ->
+        hold_tail t jaddr;
+        tl.on_append jaddr)
+      tail
+  in
+  let group = ref [] in
+  let group_size = ref 0 in
+  let add re =
+    let je = Entry.to_jentry re.e in
+    let sz = Jblock.entry_size je in
+    if not (Jblock.fits ~block_size ~current:!group_size je) then begin
+      emit !group;
+      group := [];
+      group_size := 0
+    end;
+    group := (re, je) :: !group;
+    group_size := !group_size + sz
+  in
+  let last () =
+    match (!group, tail) with
+    | [], None -> ()
+    | g, None -> emit g
+    | [], Some _ -> emit ?tail []
+    | g, Some tl ->
+      if Jblock.tail_fits ~block_size ~current:!group_size (Bytes.length tl.section) then emit ?tail g
+      else begin
+        emit g;
+        emit ?tail []
+      end
+  in
+  match
+    List.iter add chronological;
+    last ()
+  with
+  | () -> t.pending <- []
+  | exception e ->
+    t.pending <- List.rev (drop !written chronological);
+    raise e
 
 let push_entry t obj op =
   obj.o_seq <- obj.o_seq + 1;
@@ -520,6 +563,7 @@ let create ?(config = default_config) log =
       ocache = Ocache.create ~budget:config.object_cache_bytes ();
       pending = [];
       jrefs = Hashtbl.create 1024;
+      tails = Hashtbl.create 64;
       jback = Hashtbl.create 1024;
       cpending = [];
       cpack_refs = Hashtbl.create 256;
@@ -750,10 +794,10 @@ let set_acl_raw t oid acl =
   obj.o_acl <- Bytes.copy acl;
   maybe_checkpoint t obj
 
-let sync t =
+let sync ?tail t =
   traced t "sync" (fun t _ _ ->
       flush_cpack t;
-      flush_journal t;
+      flush_journal ?tail t;
       Log.sync t.log)
 
 (* ------------------------------------------------------------------ *)
@@ -1574,7 +1618,8 @@ let compact_segment t ~seg ?(on_audit_move = fun _ _ -> ()) () =
             let entries =
               match Hashtbl.find_opt t.jback addr with Some l -> !l | None -> []
             in
-            if entries = [] then kill_block t addr
+            let tail = Hashtbl.mem t.tails addr in
+            if entries = [] && not tail then kill_block t addr
             else begin
               let fresh = move_block ~force_data:true addr Tag.Journal in
               (match Hashtbl.find_opt t.jrefs addr with
@@ -1588,7 +1633,12 @@ let compact_segment t ~seg ?(on_audit_move = fun _ _ -> ()) () =
                  Hashtbl.replace t.jback fresh l
                | None -> ());
               List.iter (fun re -> re.jaddr <- fresh) entries;
-              if t.last_jaddr = addr then t.last_jaddr <- fresh
+              if t.last_jaddr = addr then t.last_jaddr <- fresh;
+              if tail then begin
+                Hashtbl.remove t.tails addr;
+                Hashtbl.replace t.tails fresh ();
+                on_audit_move addr fresh
+              end
             end
           | Tag.Checkpoint { oid } ->
             (match Hashtbl.find_opt t.objects oid with
@@ -1668,6 +1718,13 @@ let check ?(extra_live = []) t =
         obj.o_entries)
     t.objects;
   Hashtbl.iter (fun a _ -> expect a Tag.Journal) t.jrefs;
+  Hashtbl.iter
+    (fun a r ->
+      let entries = match Hashtbl.find_opt t.jback a with Some l -> List.length !l | None -> 0 in
+      let tail = if Hashtbl.mem t.tails a then 1 else 0 in
+      if !r <> entries + tail then
+        err "journal block %d refcount %d but %d entries and %d audit tails" a !r entries tail)
+    t.jrefs;
   Hashtbl.iter (fun a _ -> expect a Tag.Ckpack) t.cpack_refs;
   (* Pack reference counts must match the objects that point at them. *)
   (let computed : (addr, int ref) Hashtbl.t = Hashtbl.create 16 in
@@ -1685,7 +1742,18 @@ let check ?(extra_live = []) t =
        let c = match Hashtbl.find_opt computed a with Some c -> !c | None -> 0 in
        if c <> !r then err "pack block %d refcount %d but %d objects point at it" a !r c)
      t.cpack_refs);
-  List.iter (fun a -> expect a Tag.Audit) extra_live;
+  (* The audit trail's blocks: its own, and the journal blocks whose
+     tail it holds (expected above as journal blocks), which must be
+     exactly the ones the store believes it holds. *)
+  let owned = Hashtbl.create (List.length extra_live) in
+  List.iter
+    (fun a ->
+      Hashtbl.replace owned a ();
+      if not (Hashtbl.mem t.tails a) then expect a Tag.Audit)
+    extra_live;
+  Hashtbl.iter
+    (fun a () -> if not (Hashtbl.mem owned a) then err "journal block %d holds an audit tail nobody owns" a)
+    t.tails;
   Hashtbl.iter
     (fun a tag ->
       if not (Log.is_live t.log a) then err "block %d (%a) expected live but dead" a Tag.pp tag

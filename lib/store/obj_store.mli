@@ -109,9 +109,39 @@ val current_acl_raw : t -> oid -> Bytes.t
     keep their ACL for history access-control decisions.
     Raises [No_such_object] for unknown oids. *)
 
-val sync : t -> unit
+type tail = {
+  section : Bytes.t;  (** an audit trail's sealed tail, encoded *)
+  on_append : addr -> unit;  (** told the journal block it landed in *)
+}
+(** The audit half of a barrier's metadata block. *)
+
+val sync : ?tail:tail -> t -> unit
 (** Flush pending journal entries into journal blocks and force all
-    buffered log blocks to disk (NFSv2-style stability). *)
+    buffered log blocks to disk (NFSv2-style stability). [tail] rides
+    as the trailing section of the last journal block: beside the last
+    entries when it fits, else (or with nothing pending) in a journal
+    block with no entries. Its [on_append] runs once that block is
+    appended, before the log is forced; the block is then held for the
+    audit trail (see {!hold_tail}). A sync that fails before appending
+    it never calls [on_append]. *)
+
+(** {1 Shared metadata blocks}
+
+    A journal block carrying an audit tail has two halves: its entries,
+    one reference each, and the tail, one reference while the audit
+    trail holds it. The block dies when both halves have let go, and
+    the cleaner moves it once, reporting the move through
+    [on_audit_move] (see {!compact_segment}). *)
+
+val hold_tail : t -> addr -> unit
+(** The audit trail takes its reference on the journal block at [addr]
+    (at append, and again at recovery, which also marks it live).
+    Idempotent. *)
+
+val release_tail : t -> addr -> unit
+(** The audit trail lets go of the tail at [addr] (expiry). *)
+
+val holds_tail : t -> addr -> bool
 
 val list_objects : t -> oid list
 (** Existing (non-deleted) objects. *)
@@ -226,7 +256,10 @@ val recover : ?config:config -> S4_seglog.Log.t -> t
 val check : ?extra_live:addr list -> t -> string list
 (** Invariant violations (empty = healthy): current table blocks live
     and correctly tagged, retained history blocks live, journal
-    refcounts consistent, live-block accounting matches. *)
+    refcounts consistent, live-block accounting matches. [extra_live]
+    are the audit trail's blocks: standalone ones must be live audit
+    blocks, and the journal blocks whose tail the store holds must be
+    exactly the shared ones among them. *)
 
 val drop_caches : t -> unit
 (** Empty the block and object caches (cold-cache experiment phases);
@@ -246,7 +279,8 @@ val compact_segment :
     reclaimed: data blocks are re-appended and all in-memory references
     rewritten (a [Relocate] journal entry records the moves for
     recovery), journal blocks are re-homed, checkpoints are rewritten
-    fresh, and audit blocks are reported through [on_audit_move] so
-    their owner can update its index. Returns the number of blocks
+    fresh, and audit blocks, and journal blocks holding an audit tail,
+    are reported through [on_audit_move] so the audit trail can update
+    its index. Returns the number of blocks
     moved; [Error _] if the segment is not closed. The caller should
     {!sync} afterwards. *)

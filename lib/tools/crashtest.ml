@@ -844,7 +844,7 @@ let tamper_run ~seed tamper =
         match addrs with
         | _ :: addr :: _ ->
           let b = Log.peek log addr in
-          let i = Audit.start_offset in
+          let i = Option.get (Audit.start_offset b) in
           Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
           poke addr (recrc b)
         | _ -> too_few ())
@@ -888,8 +888,7 @@ let torn_block_run ?(dir = Filename.get_temp_dir_name ()) ~seed () =
   ignore (drive_workload ~ops:48 ~seed ~drive o);
   let handled = List.length o.audit_log in
   let anchor = Sim_disk.saved_head disk0 in
-  Audit.flush (Drive.audit drive);
-  Log.sync (Drive.log drive);
+  if Drive.barrier drive <> None then failwith "torn block: barrier failed";
   (match Audit.block_addrs (Drive.audit drive) with
    | addr :: _ ->
      let log = Drive.log drive in

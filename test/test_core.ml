@@ -111,26 +111,29 @@ let prop_acl_roundtrip =
 
 (* --- Audit ------------------------------------------------------------ *)
 
-let mk_log ?(mb = 64) () =
+let mk_store ?(mb = 64) () =
   let clock = Simclock.create () in
   let disk = Sim_disk.create ~geometry:(geom mb) clock in
-  (clock, disk, Log.create disk)
+  (clock, disk, S4_store.Obj_store.create (Log.create disk))
+
+(* A barrier of a store and its audit trail. *)
+let barrier store audit = S4_store.Obj_store.sync ?tail:(Audit.seal audit) store
 
 let rec_ at op = { Audit.at; user = 1; client = 2; op; oid = 42L; info = "x=1"; ok = true }
 
 let test_audit_record_block_roundtrip () =
   let records = [ rec_ 1L "read"; rec_ 2L "write"; rec_ 3L "delete" ] in
-  let _, _, log = mk_log () in
-  let audit = Audit.create log in
+  let _, _, store = mk_store () in
+  let audit = Audit.create store in
   List.iter (Audit.append audit) records;
-  Audit.flush audit;
+  barrier store audit;
   check Alcotest.int "one block" 1 (Audit.block_count audit);
   let back = Audit.records audit () in
   check Alcotest.bool "records roundtrip" true (back = records)
 
 let test_audit_buffering () =
-  let _, _, log = mk_log () in
-  let audit = Audit.create log in
+  let _, _, store = mk_store () in
+  let audit = Audit.create store in
   (* Small records buffer in memory; no block until ~4KB accumulate. *)
   for i = 1 to 10 do
     Audit.append audit (rec_ (Int64.of_int i) "op")
@@ -143,26 +146,26 @@ let test_audit_buffering () =
   check Alcotest.int "all records visible" 300 (List.length (Audit.records audit ()))
 
 let test_audit_time_filter () =
-  let _, _, log = mk_log () in
-  let audit = Audit.create log in
+  let _, _, store = mk_store () in
+  let audit = Audit.create store in
   List.iter (Audit.append audit) [ rec_ 10L "a"; rec_ 20L "b"; rec_ 30L "c" ];
   let mid = Audit.records audit ~since:15L ~until:25L () in
   check Alcotest.int "one in range" 1 (List.length mid);
   check Alcotest.string "the right one" "b" (List.hd mid).Audit.op
 
 let test_audit_disabled () =
-  let _, _, log = mk_log () in
-  let audit = Audit.create ~enabled:false log in
+  let _, _, store = mk_store () in
+  let audit = Audit.create ~enabled:false store in
   Audit.append audit (rec_ 1L "x");
   check Alcotest.int "nothing recorded" 0 (Audit.record_count audit)
 
 let test_audit_expire () =
-  let _, _, log = mk_log () in
-  let audit = Audit.create log in
+  let _, _, store = mk_store () in
+  let audit = Audit.create store in
   Audit.append audit (rec_ 5L "old");
-  Audit.flush audit;
+  barrier store audit;
   Audit.append audit (rec_ 100L "new");
-  Audit.flush audit;
+  barrier store audit;
   check Alcotest.int "two blocks" 2 (Audit.block_count audit);
   let freed = Audit.expire audit ~cutoff:50L in
   check Alcotest.int "one freed" 1 freed;
@@ -171,13 +174,12 @@ let test_audit_expire () =
   check Alcotest.string "new survives" "new" (List.hd remaining).Audit.op
 
 let test_audit_recover () =
-  let _, disk, log = mk_log () in
-  let audit = Audit.create log in
+  let _, disk, store = mk_store () in
+  let audit = Audit.create store in
   List.iter (Audit.append audit) [ rec_ 1L "r1"; rec_ 2L "r2" ];
-  Audit.flush audit;
-  Log.sync log;
-  let log2 = Log.reattach disk in
-  let audit2 = Audit.create log2 in
+  barrier store audit;
+  let store2 = S4_store.Obj_store.recover (Log.reattach disk) in
+  let audit2 = Audit.create store2 in
   Audit.recover audit2;
   check Alcotest.int "block refound" 1 (Audit.block_count audit2);
   check Alcotest.int "records refound" 2 (List.length (Audit.records audit2 ()))
@@ -403,8 +405,7 @@ let test_drive_crash_recovery () =
   tick clock;
   expect_unit (Drive.handle drive alice (Rpc.Write { oid; off = 0; len = 10; data = Some (bytes_of "new conten") }));
   expect_unit (Drive.handle drive alice Rpc.Sync);
-  S4.Audit.flush (Drive.audit drive);
-  Log.sync (Drive.log drive);
+  check Alcotest.bool "barrier" true (Drive.barrier drive = None);
   (* Crash; reattach from the same disk. *)
   let drive2 = Drive.attach disk in
   check Alcotest.string "current recovered" "new conten data" (read_str drive2 admin oid);
@@ -743,19 +744,25 @@ let test_off_chain_anchor_fails_closed () =
   check Alcotest.bool "pp_stats says so" true (has 0)
 
 (* An image written in another on-disk format is refused at attach,
-   before recovery reads any of its blocks, with both versions named. *)
+   before recovery reads any of its blocks, with both versions named:
+   version 1 (pre-chain audit blocks) and version 2 (a standalone audit
+   block per barrier). *)
 let test_superblock_version_checked () =
   let _, disk, d = mk_drive ~mb:16 () in
   check Alcotest.bool "synced" true (Drive.barrier d = None);
   let log = Drive.log d in
-  let sb = Log.read_superblock log in
-  Bytes.set sb 4 '\001' (* the version byte, after the 4-byte magic *);
-  Log.write_superblock log sb;
-  match Drive.attach (copy_disk disk) with
-  | _ -> Alcotest.fail "a version 1 image attached"
-  | exception Invalid_argument m ->
-    check Alcotest.string "names both versions"
-      "Drive.attach: on-disk format version 1, this build reads version 2" m
+  List.iter
+    (fun v ->
+      let sb = Log.read_superblock log in
+      Bytes.set sb 4 (Char.chr v) (* the version byte, after the 4-byte magic *);
+      Log.write_superblock log sb;
+      match Drive.attach (copy_disk disk) with
+      | _ -> Alcotest.failf "a version %d image attached" v
+      | exception Invalid_argument m ->
+        check Alcotest.string "names both versions"
+          (Printf.sprintf "Drive.attach: on-disk format version %d, this build reads version 3" v)
+          m)
+    [ 1; 2 ]
 
 (* A negative oid is a malformed request: it answers [Bad_request] and
    leaves one audit record naming no object (the audit encoding has no

@@ -542,48 +542,57 @@ let test_crash_after_expiry_mirrored_array () =
     ~clean:(fun () -> Router.run_cleaners router)
     (array_members router)
 
-(* --- one barrier, one audit block ------------------------------------- *)
+(* --- one metadata block per barrier ------------------------------------ *)
 
-let audit_slots d =
-  List.length (List.filter (fun (_, tag) -> tag = Tag.Audit) (Log.all_tagged (Drive.log d)))
+(* Blocks [d]'s log appended, and the store's data blocks among them. *)
+let blocks d =
+  ((Log.stats (Drive.log d)).Log.appends, (Store.stats (Drive.store d)).Store.data_blocks_written)
 
-(* A synced batch whose records fit one block appends exactly one
-   audit block to every member drive that recorded it (the seal rides
-   in that block), and a barrier with nothing new appends none. *)
-let one_block_per_barrier (b : Backend.t) members =
+(* The blocks every member appends for one synced batch of eight small
+   writes, after a synced batch of creates. *)
+let batch_blocks (b : Backend.t) members =
   let cred = Rpc.user_cred ~user:1 ~client:1 in
   let oids =
     Array.map
       (function Rpc.R_oid oid -> oid | r -> Alcotest.failf "create: %a" Rpc.pp_resp r)
       (b.Backend.submit cred ~sync:true (Array.make 8 (Rpc.Create { acl = [] })))
   in
-  let counts () = List.map (fun (_, d) -> (audit_slots d, Audit.record_count (Drive.audit d))) members in
-  let c0 = counts () in
+  let c0 = List.map (fun (_, d) -> blocks d) members in
   ignore
     (b.Backend.submit cred ~sync:true
        (Array.map (fun oid -> Rpc.Write { oid; off = 0; len = 64; data = Some (Bytes.make 64 'w') }) oids));
-  let c1 = counts () in
-  List.iter2
-    (fun ((what, _), (slots0, records0)) (slots1, records1) ->
-      check Alcotest.int (what ^ ": audit blocks per synced batch")
-        (if records1 > records0 then 1 else 0)
-        (slots1 - slots0))
-    (List.combine members c0) c1;
-  check Alcotest.bool "some member recorded the batch" true
-    (List.exists2 (fun (_, r0) (_, r1) -> r1 > r0) c0 c1);
-  barrier b;
-  List.iter2
-    (fun ((what, _), (slots1, _)) (slots2, _) ->
-      check Alcotest.int (what ^ ": audit blocks per empty barrier") 0 (slots2 - slots1))
-    (List.combine members c1) (counts ())
+  List.map2 (fun (what, d) (a0, d0) -> let a1, d1 = blocks d in (what, a1 - a0, d1 - d0)) members c0
 
-let test_one_block_per_barrier_drive () =
-  let d = content_drive (Simclock.create ()) in
-  one_block_per_barrier (Drive.backend d) [ ("drive", d) ]
+let audit_config enabled = { S4_workload.Systems.content_drive_config with Drive.audit_enabled = enabled }
 
-let test_one_block_per_barrier_mirrored_array () =
-  let router = mirrored_array () in
-  one_block_per_barrier (Router.backend router) (array_members router)
+(* A synced batch writes its data blocks plus one metadata block, with
+   the audit trail on or off: the sealed tail rides in the journal
+   block. *)
+let test_same_blocks_drive () =
+  let run enabled =
+    let d = Drive.format ~config:(audit_config enabled) (Sim_disk.create (Simclock.create ())) in
+    batch_blocks (Drive.backend d) [ ("drive", d) ]
+  in
+  let on = run true and off = run false in
+  check Alcotest.(list (triple string int int)) "blocks per synced batch" off on;
+  List.iter (fun (what, appends, data) -> check Alcotest.int (what ^ ": one metadata block") 1 (appends - data)) on
+
+(* On a mirrored array every member writes the same metadata blocks
+   either way. Data blocks may differ: the integrity catalog exists
+   only with auditing on, takes an oid (which moves the placement of
+   the objects created after it) and a data block on the meta shard. *)
+let test_same_blocks_mirrored_array () =
+  let run enabled =
+    let clock = Simclock.create () in
+    let drive () = Drive.format ~config:(audit_config enabled) (Sim_disk.create clock) in
+    let router =
+      Router.create (List.init 2 (fun i -> (i, Router.Mirrored (Mirror.create (drive ()) (drive ())))))
+    in
+    batch_blocks (Router.backend router) (array_members router)
+  in
+  let meta (what, appends, data) = (what, appends - data) in
+  check Alcotest.(list (pair string int)) "metadata blocks per synced batch"
+    (List.map meta (run false)) (List.map meta (run true))
 
 (* --- compaction differential ----------------------------------------- *)
 
@@ -607,8 +616,9 @@ let contents ?oids st instants =
 let journals st = List.map (fun oid -> (oid, Store.journal st oid)) (Store.list_all st)
 
 (* The closed segments a cleaner pass may compact that hold data and a
-   checkpoint image of one owner side by side, audit blocks, and sealed
-   audit blocks, each as (index, epoch). *)
+   checkpoint image of one owner side by side, standalone audit blocks,
+   and journal blocks carrying a tail the audit trail holds, each as
+   (index, epoch). *)
 let victim_kinds d =
   let log = Drive.log d in
   let usable = float_of_int (Log.blocks_per_segment log - 1) in
@@ -626,11 +636,8 @@ let victim_kinds d =
             | Tag.Checkpoint { oid } ->
               if List.exists (function _, Tag.Data { oid = o; _ } -> Int64.equal o oid | _ -> false) live
               then note shared
-            | Tag.Audit -> (
-              note audit;
-              match Audit.decode_block (Log.peek log a) with
-              | Some { Audit.seal = Some _; _ } -> note sealed
-              | _ -> ())
+            | Tag.Audit -> note audit
+            | Tag.Journal when Store.holds_tail (Drive.store d) a -> note sealed
             | _ -> ())
           live
       end)
@@ -651,7 +658,8 @@ let compacted d segs =
    object is large enough (600 blocks) for its checkpoint image to
    take dedicated chunks, written next to its data; the test fails
    unless some pass emptied a segment holding such a pair, and
-   segments holding audit blocks and sealed audit blocks. Each round's
+   segments holding standalone audit blocks and journal blocks that
+   carry a held audit tail. Each round's
    crash image must also read back the live drive's audit trail. *)
 let test_compaction_differential () =
   let clock = Simclock.create () in
@@ -758,7 +766,7 @@ let test_compaction_differential () =
   done;
   check Alcotest.bool "compacted data and a checkpoint image of one owner" true !seen_shared;
   check Alcotest.bool "compacted audit blocks" true !seen_audit;
-  check Alcotest.bool "compacted sealed audit blocks" true !seen_sealed
+  check Alcotest.bool "compacted journal blocks carrying a sealed tail" true !seen_sealed
 
 let () =
   Alcotest.run "s4_integrity"
@@ -809,8 +817,9 @@ let () =
         ] );
       ( "barrier",
         [
-          Alcotest.test_case "drive: one audit block per synced batch" `Quick test_one_block_per_barrier_drive;
-          Alcotest.test_case "array: one audit block per synced batch" `Quick
-            test_one_block_per_barrier_mirrored_array;
+          Alcotest.test_case "drive: same blocks with audit on or off" `Quick
+            test_same_blocks_drive;
+          Alcotest.test_case "array: same blocks with audit on or off" `Quick
+            test_same_blocks_mirrored_array;
         ] );
     ]
