@@ -981,7 +981,10 @@ let scale () =
     ];
   Report.write_json ~experiments:[ "scale"; "scale_domains"; "scale_rebalance" ]
     "BENCH_scale.json";
-  Report.note "wrote BENCH_scale.json"
+  Report.note "wrote BENCH_scale.json";
+  (* The rebalance oracle: a migration error or any fsck issue after it
+     fails the run. *)
+  if errors <> [] || issues <> [] then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Trace: span tracer + metrics registry                               *)

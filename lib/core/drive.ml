@@ -183,6 +183,7 @@ let format ?(config = default_config) disk =
   let log = Log.create disk in
   let store = Store.create ~config:config.store log in
   let ptable_oid = Store.create_object store in
+  Store.keep_content store ptable_oid;
   Store.set_acl_raw store ptable_oid (Acl.encode (Acl.default ~owner:0));
   let t = build config log store ~ptable_oid in
   write_superblock t;
@@ -201,6 +202,7 @@ let attach ?(config = default_config) disk =
     | None -> invalid_arg "Drive.attach: no valid superblock"
   in
   let store = Store.recover ~config:config.store log in
+  Store.keep_content store ptable_oid;
   let t = build { config with window } log store ~ptable_oid in
   Audit.recover t.audit;
   (* Cross-check the device-held anchor: the head recorded in the disk

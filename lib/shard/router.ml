@@ -346,6 +346,7 @@ let catalog_init t =
     let meta_drives = shard_drives meta_sh in
     match List.find_map (fun d -> Drive.named_oid d catalog_name) meta_drives with
     | Some oid ->
+      List.iter (fun st -> Store.keep_content st oid) (shard_stores meta_sh);
       t.catalog_oid <- Some oid;
       Hashtbl.replace t.private_oids oid ()
     | None ->
@@ -357,6 +358,7 @@ let catalog_init t =
           List.iter
             (fun st ->
               let oid = Store.create_object st in
+              Store.keep_content st oid;
               if not (Int64.equal oid g) then
                 invalid_arg (Printf.sprintf "Router: catalog allocated oid %Ld, expected %Ld" oid g);
               (* Empty ACL: only the admin credential passes. *)

@@ -107,6 +107,7 @@ type t = {
   mutable last_jaddr : addr;
   mutable oid_counter : int64;
   mutable oid_allocator : (unit -> oid) option;
+  kept : (oid, unit) Hashtbl.t;  (* objects whose content a timing-only store keeps *)
   s : stats;
 }
 
@@ -136,6 +137,14 @@ let table_set obj i a =
 (* Block cache                                                         *)
 
 let zeros t = Bytes.make (bs t) '\000'
+
+(* Whether the store keeps [oid]'s content: always in a content store;
+   in a timing-only one, only for drive-private metadata objects. Their
+   content reaches the log and is read back from it uncharged, so the
+   charges and cache traffic are those of any other object. *)
+let keeps t oid = t.cfg.keep_data || Hashtbl.mem t.kept oid
+
+let keep_content t oid = Hashtbl.replace t.kept oid ()
 
 let cache_block t a content =
   Bcache.insert t.bcache a (if t.cfg.keep_data then content else None) ~cost:(bs t)
@@ -571,6 +580,7 @@ let create ?(config = default_config) log =
       last_jaddr = Log.none;
       oid_counter = 1L;
       oid_allocator = None;
+      kept = Hashtbl.create 4;
       s = fresh_stats ();
     }
   in
@@ -685,11 +695,13 @@ let write_chunk t obj ~off ~len data_slice =
       let block_start = fb * block_size in
       let covers_fully = off <= block_start && off + len >= block_start + block_size in
       let content =
-        if not t.cfg.keep_data then None
+        if not (keeps t obj.o_oid) then None
         else begin
           let base =
             if old <> Log.none && not covers_fully then
-              (match block t old with Some b -> Bytes.copy b | None -> zeros t)
+              (match block t old with
+               | Some b -> Bytes.copy b
+               | None -> if t.cfg.keep_data then zeros t else Log.peek t.log old)
             else zeros t
           in
           let from = max off block_start in
@@ -702,7 +714,7 @@ let write_chunk t obj ~off ~len data_slice =
       in
       (* Even without retained contents, a partial overwrite of an
          existing block costs a read-modify-write. *)
-      if old <> Log.none && not covers_fully && not t.cfg.keep_data then ignore (block t old);
+      if old <> Log.none && not covers_fully && not (keeps t obj.o_oid) then ignore (block t old);
       let fresh = Log.append t.log (Tag.Data { oid = obj.o_oid; fblock = fb }) ?data:content () in
       cache_block t fresh content;
       table_set obj fb fresh;
@@ -916,7 +928,9 @@ let read_inner t ?at oid ~off ~len =
         let until = min (off + len) (block_start + block_size) in
         match block t a with
         | Some b -> Bytes.blit b (from - block_start) out (from - off) (until - from)
-        | None -> ()
+        | None ->
+          if (not t.cfg.keep_data) && Hashtbl.mem t.kept oid then
+            Bytes.blit (Log.peek t.log a) (from - block_start) out (from - off) (until - from)
       end
     done;
     t.s.bytes_read <- t.s.bytes_read + len;
@@ -1216,14 +1230,21 @@ let split_entries entries ~cutoff =
   in
   go [] entries
 
+(* Whether [split_entries] would drop anything: some entry is flushed
+   and strictly older than the cutoff. Allocates nothing, so a pass
+   over objects with nothing to drop costs no garbage. *)
+let rec droppable ~cutoff = function
+  | [] -> false
+  | re :: rest -> (re.e.Entry.time < cutoff && re.jaddr <> Log.none) || droppable ~cutoff rest
+
 let drop_entry t re =
   List.iter (kill_block t) (Entry.superseded_blocks re.e.Entry.op);
   if re.jaddr <> Log.none then jref_put t re.jaddr re;
   t.s.entries_expired <- t.s.entries_expired + 1
 
 let expire_object t obj ~cutoff =
-  let retained, dropped = split_entries obj.o_entries ~cutoff in
-  if dropped <> [] then begin
+  if droppable ~cutoff obj.o_entries then begin
+    let retained, dropped = split_entries obj.o_entries ~cutoff in
     if (not obj.o_exists) && retained = [] then begin
       (* The object's delete has aged out: reclaim everything. *)
       List.iter (fun re -> drop_entry t re) dropped;
@@ -1248,7 +1269,9 @@ let expire_object t obj ~cutoff =
   end
 
 let expire t ~cutoff =
-  let objs = Hashtbl.fold (fun _ obj acc -> obj :: acc) t.objects [] in
+  let objs =
+    Hashtbl.fold (fun _ obj acc -> if droppable ~cutoff obj.o_entries then obj :: acc else acc) t.objects []
+  in
   List.iter (fun obj -> expire_object t obj ~cutoff) objs
 
 let expire_one t oid ~cutoff = expire_object t (find_obj t oid) ~cutoff
@@ -1609,7 +1632,7 @@ let compact_segment t ~seg ?(on_audit_move = fun _ _ -> ()) () =
                (* Orphaned block (owner fully expired): just reclaim. *)
                kill_block t addr
              | Some obj ->
-               let fresh = move_block addr tag in
+               let fresh = move_block ~force_data:(keeps t oid) addr tag in
                if fblock >= 0 && table_get obj fblock = addr then obj.o_table.(fblock) <- fresh;
                moved_to.(addr - first) <- fresh;
                unmapped := true;

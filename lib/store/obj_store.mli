@@ -77,6 +77,14 @@ val next_oid : t -> oid
 (** The next oid the local counter would assign (strictly greater than
     every oid this store has seen). *)
 
+val keep_content : t -> oid -> unit
+(** Keep the object's content even when the store is timing-only
+    ([keep_data] off): for drive-private metadata objects (the
+    partition table, the integrity catalog), which must read back what
+    was written. Writes, reads and cleaner moves charge exactly as for
+    any other object. Not persistent: the owner registers the object
+    again after {!recover}; its blocks on disk keep their content. *)
+
 val delete_object : t -> oid -> unit
 (** The object stays readable time-based; further mutation raises
     {!Is_deleted}. *)

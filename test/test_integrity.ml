@@ -325,8 +325,8 @@ let array_members router =
 
 (* A copy of the platter, as a crash at this instant would leave it.
    Unwritten runs stay unwritten, so a copy costs what the disk holds. *)
-let copy_disk disk =
-  let copy = Sim_disk.create ~geometry:(Sim_disk.geometry disk) (Simclock.create ()) in
+let copy_disk ?(clock = Simclock.create ()) disk =
+  let copy = Sim_disk.create ~geometry:(Sim_disk.geometry disk) clock in
   let sectors = Sim_disk.capacity_sectors disk in
   let rec go lba =
     if lba < sectors then begin
@@ -541,6 +541,45 @@ let test_crash_after_expiry_mirrored_array () =
   crash_after_expiry (Router.backend router)
     ~clean:(fun () -> Router.run_cleaners router)
     (array_members router)
+
+(* --- a timing-only array keeps its catalog ------------------------------ *)
+
+(* A timing-only mirrored array (no data contents kept) still keeps the
+   drive-private objects' content: after a crash every member attaches,
+   the catalog decodes with every member's entry, and fsck is clean. *)
+let test_timing_only_catalog () =
+  let clock = Simclock.create () in
+  let config = { Drive.default_config with store = { Store.default_config with keep_data = false } } in
+  let geometry = Geometry.with_capacity Geometry.cheetah_9gb ~bytes:(64 * 1024 * 1024) in
+  let disks = List.init 4 (fun _ -> Sim_disk.create ~geometry clock) in
+  let array drives =
+    match drives with
+    | [ a; b; c; d ] -> [ (0, Router.Mirrored (Mirror.create a b)); (1, Router.Mirrored (Mirror.create c d)) ]
+    | _ -> assert false
+  in
+  let router = Router.create (array (List.map (Drive.format ~config) disks)) in
+  let b = Router.backend router in
+  let cred = Rpc.user_cred ~user:1 ~client:1 in
+  let oids =
+    Array.map
+      (function Rpc.R_oid oid -> oid | r -> Alcotest.failf "create: %a" Rpc.pp_resp r)
+      (b.Backend.submit cred ~sync:true (Array.make 8 (Rpc.Create { acl = [] })))
+  in
+  for i = 1 to 20 do
+    ignore
+      (b.Backend.submit cred ~sync:true
+         (Array.map (fun oid -> Rpc.Write { oid; off = i * 4096; len = 4096; data = None }) oids))
+  done;
+  Router.run_cleaners router;
+  barrier b;
+  check Alcotest.(list string) "fsck before the crash" [] (Router.fsck router);
+  let clock2 = Simclock.create () in
+  Simclock.set clock2 (Simclock.now clock);
+  let attached =
+    Router.attach (array (List.map (fun disk -> Drive.attach ~config (copy_disk ~clock:clock2 disk)) disks))
+  in
+  check Alcotest.(list string) "fsck after attach" [] (Router.fsck attached);
+  check Alcotest.(list int) "no degraded shard" [] (Router.degraded_shards attached)
 
 (* --- one metadata block per barrier ------------------------------------ *)
 
@@ -796,6 +835,7 @@ let () =
           Alcotest.test_case "check statuses" `Quick test_catalog_check_statuses;
           Alcotest.test_case "find/set" `Quick test_catalog_find_set;
           Alcotest.test_case "pruning ages departed floors" `Quick test_catalog_prune_ages_floors;
+          Alcotest.test_case "timing-only array keeps its catalog" `Quick test_timing_only_catalog;
         ] );
       ( "tamper",
         [
