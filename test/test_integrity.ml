@@ -633,6 +633,59 @@ let test_same_blocks_mirrored_array () =
   check Alcotest.(list (pair string int)) "metadata blocks per synced batch"
     (List.map meta (run false)) (List.map meta (run true))
 
+(* A torn barrier loses its journal entries and its audit records
+   together: the barrier's one metadata block holds both. Recovery of a
+   copy whose newest barrier's metadata block is torn to its first
+   sector (the dying barrier published no device anchor) reads the
+   object as the barrier before left it, the trail as that barrier
+   sealed it, and a clean chain, lenient and strict. *)
+let test_torn_metadata_block () =
+  let clock = Simclock.create () in
+  let d = content_drive ~mb:64 clock in
+  let cred = Rpc.admin_cred in
+  let oid =
+    match Drive.handle d cred (Rpc.Create { acl = [] }) with
+    | Rpc.R_oid oid -> oid
+    | r -> Alcotest.failf "create: %a" Rpc.pp_resp r
+  in
+  let write s =
+    match Drive.handle d cred (Rpc.Write { oid; off = 0; len = String.length s; data = Some (Bytes.of_string s) }) with
+    | Rpc.R_unit -> ()
+    | r -> Alcotest.failf "write: %a" Rpc.pp_resp r
+  in
+  write "before";
+  check Alcotest.bool "first barrier" true (Drive.barrier d = None);
+  let audit = Drive.audit d in
+  let sealed = Audit.sealed_head audit and trail = Audit.records audit () in
+  let disk = Log.disk (Drive.log d) in
+  let anchor = Sim_disk.saved_head disk in
+  write "after!";
+  check Alcotest.bool "second barrier" true (Drive.barrier d = None);
+  let log = Drive.log d in
+  let addr = List.hd (Audit.block_addrs audit) in
+  let block = Log.peek log addr in
+  check Alcotest.bool "the barrier's journal block holds entries" true
+    (match S4_seglog.Jblock.decode block with Some (_, es) -> es <> [] | None -> false);
+  check Alcotest.bool "and the sealed tail" true (S4_seglog.Jblock.tail block <> None);
+  let copy = copy_disk disk in
+  let ss = (Sim_disk.geometry copy).Geometry.sector_size in
+  let bs = Log.block_size log in
+  Bytes.fill block ss (bs - ss) '\000';
+  Sim_disk.poke copy ~lba:(addr * (bs / ss)) ~data:block;
+  Sim_disk.set_saved_head copy anchor;
+  let d2 = Drive.attach copy in
+  let a2 = Drive.audit d2 in
+  check Alcotest.string "entries lost with the block" "before"
+    (Bytes.to_string (Store.read (Drive.store d2) oid ~off:0 ~len:6));
+  check Alcotest.bool "records lost with the block" true (Audit.records a2 () = trail);
+  check Alcotest.bool "the previous sealed prefix" true (Chain.equal_head (Audit.sealed_head a2) sealed);
+  let lenient = Audit.verify ~lenient_tail:true a2 and strict = Audit.verify a2 in
+  check Alcotest.(list string) "lenient verify" [] lenient.Chain.v_errors;
+  check Alcotest.(list string) "strict verify" [] strict.Chain.v_errors;
+  check Alcotest.int "reads as truncation: nothing past the seal" 0 lenient.Chain.v_tail;
+  check Alcotest.bool "not degraded" false (Drive.degraded d2);
+  check Alcotest.(list string) "fsck" [] (Drive.fsck d2)
+
 (* --- compaction differential ----------------------------------------- *)
 
 
@@ -654,14 +707,24 @@ let contents ?oids st instants =
 
 let journals st = List.map (fun oid -> (oid, Store.journal st oid)) (Store.list_all st)
 
+(* Whether the store still retains a journal entry. *)
+let retained st (e : S4_seglog.Jblock.entry) =
+  match Store.journal st e.S4_seglog.Jblock.oid with
+  | es -> List.exists (fun (x : S4_store.Entry.t) -> x.seq = e.S4_seglog.Jblock.seq) es
+  | exception Store.No_such_object _ -> false
+
 (* The closed segments a cleaner pass may compact that hold data and a
    checkpoint image of one owner side by side, standalone audit blocks,
-   and journal blocks carrying a tail the audit trail holds, each as
-   (index, epoch). *)
+   journal blocks carrying a tail the audit trail holds, and the two
+   half-dead kinds of shared slot: a held tail whose entries have all
+   expired, and live entries whose tail has expired, each as (index,
+   epoch). *)
 let victim_kinds d =
   let log = Drive.log d in
+  let st = Drive.store d in
   let usable = float_of_int (Log.blocks_per_segment log - 1) in
   let shared = ref [] and audit = ref [] and sealed = ref [] in
+  let tail_only = ref [] and entries_only = ref [] in
   Array.iter
     (fun i ->
       let ratio = float_of_int i.Log.seg_live /. usable in
@@ -676,12 +739,21 @@ let victim_kinds d =
               if List.exists (function _, Tag.Data { oid = o; _ } -> Int64.equal o oid | _ -> false) live
               then note shared
             | Tag.Audit -> note audit
-            | Tag.Journal when Store.holds_tail (Drive.store d) a -> note sealed
+            | Tag.Journal -> (
+              let b = Log.peek log a in
+              let held = Store.holds_tail st a in
+              if held then note sealed;
+              match S4_seglog.Jblock.decode b with
+              | Some (_, (_ :: _ as entries)) ->
+                let live_entries = List.exists (retained st) entries in
+                if held && not live_entries then note tail_only;
+                if (not held) && live_entries && S4_seglog.Jblock.tail b <> None then note entries_only
+              | _ -> ())
             | _ -> ())
           live
       end)
     (Log.segments log);
-  (!shared, !audit, !sealed)
+  (!shared, !audit, !sealed, !tail_only, !entries_only)
 
 (* Whether a pass emptied one of [segs]: no live block left, or the
    segment was reclaimed (and perhaps reopened). *)
@@ -697,9 +769,11 @@ let compacted d segs =
    object is large enough (600 blocks) for its checkpoint image to
    take dedicated chunks, written next to its data; the test fails
    unless some pass emptied a segment holding such a pair, and
-   segments holding standalone audit blocks and journal blocks that
-   carry a held audit tail. Each round's
-   crash image must also read back the live drive's audit trail. *)
+   segments holding standalone audit blocks, journal blocks that carry
+   a held audit tail, a held tail whose entries have all expired (each
+   round FlushO's a probe object written in a barrier of its own), and
+   live entries whose tail has expired. Each round's crash image must
+   also read back the live drive's audit trail. *)
 let test_compaction_differential () =
   let clock = Simclock.create () in
   let disk =
@@ -735,8 +809,10 @@ let test_compaction_differential () =
   in
   write big ~off:0 ~len:(600 * bs);
   let filler = create () in
+  let probe = create () in
   let instants = ref [] in
   let seen_shared = ref false and seen_audit = ref false and seen_sealed = ref false in
+  let seen_tail_only = ref false and seen_entries_only = ref false in
   for round = 1 to 24 do
     for step = 1 to 30 do
       let oid = List.nth !live (Rng.int rng (List.length !live)) in
@@ -753,7 +829,14 @@ let test_compaction_differential () =
       if step mod 3 = 0 then instants := Simclock.now clock :: !instants;
       Simclock.advance clock 20_000_000L
     done;
-    let shared, audit, sealed = victim_kinds d in
+    (* A probe write in a barrier of its own, then FlushO on the probe:
+       its journal block keeps a live tail after its entries have
+       expired. *)
+    write probe ~off:0 ~len:64;
+    check Alcotest.bool "probe barrier" true (Drive.barrier d = None);
+    unit_resp "flusho"
+      (Drive.handle d cred (Rpc.Flush_object { oid = probe; until = Simclock.now clock }));
+    let shared, audit, sealed, tail_only, entries_only = victim_kinds d in
     let cutoff_before = Drive.detection_cutoff d in
     let retained = List.filter (fun at -> Int64.compare at cutoff_before >= 0) !instants in
     let before = contents st retained in
@@ -761,6 +844,8 @@ let test_compaction_differential () =
     seen_shared := !seen_shared || compacted d shared;
     seen_audit := !seen_audit || compacted d audit;
     seen_sealed := !seen_sealed || compacted d sealed;
+    seen_tail_only := !seen_tail_only || compacted d tail_only;
+    seen_entries_only := !seen_entries_only || compacted d entries_only;
     let cutoff = Drive.detection_cutoff d in
     let still = List.filter (fun (_, at, _) -> Int64.compare at cutoff >= 0) before in
     let after = contents st (List.filter (fun at -> Int64.compare at cutoff >= 0) retained) in
@@ -789,23 +874,29 @@ let test_compaction_differential () =
     let window_journals st =
       List.filter_map
         (fun (oid, es) ->
-          if Int64.equal oid filler then None
+          if Int64.equal oid filler || Int64.equal oid probe then None
           else Some (oid, List.filter (fun (e : S4_store.Entry.t) -> Int64.compare e.time cutoff >= 0) es))
         (journals st)
     in
     (* Recovery also decodes dead journal blocks that no pass has
        reclaimed yet, so it can bring back objects and entries that
-       aged out; only what lies inside the window must match. *)
+       aged out (the probe's FlushO'd history among them); only what
+       lies inside the window must match, and the probe's versions are
+       not compared. *)
     let recovered = List.filter (fun oid -> List.mem oid (Store.list_all st)) (Store.list_all st2) in
     check Alcotest.(list int64) (Printf.sprintf "round %d objects" round) (Store.list_all st) recovered;
-    if contents ~oids:recovered st2 (List.filter (fun at -> Int64.compare at cutoff >= 0) retained) <> after then
+    let compared = List.filter (fun oid -> not (Int64.equal oid probe)) recovered in
+    let after = List.filter (fun (oid, _, _) -> not (Int64.equal oid probe)) after in
+    if contents ~oids:compared st2 (List.filter (fun at -> Int64.compare at cutoff >= 0) retained) <> after then
       Alcotest.failf "round %d: a recovered version differs" round;
     if window_journals st <> List.filter (fun (oid, _) -> List.mem oid recovered) (window_journals st2) then
       Alcotest.failf "round %d: recovered journals differ" round
   done;
   check Alcotest.bool "compacted data and a checkpoint image of one owner" true !seen_shared;
   check Alcotest.bool "compacted audit blocks" true !seen_audit;
-  check Alcotest.bool "compacted journal blocks carrying a sealed tail" true !seen_sealed
+  check Alcotest.bool "compacted journal blocks carrying a sealed tail" true !seen_sealed;
+  check Alcotest.bool "compacted a held tail whose entries expired" true !seen_tail_only;
+  check Alcotest.bool "compacted live entries whose tail expired" true !seen_entries_only
 
 let () =
   Alcotest.run "s4_integrity"
@@ -861,5 +952,7 @@ let () =
             test_same_blocks_drive;
           Alcotest.test_case "array: same blocks with audit on or off" `Quick
             test_same_blocks_mirrored_array;
+          Alcotest.test_case "torn metadata block loses both halves" `Quick
+            test_torn_metadata_block;
         ] );
     ]
