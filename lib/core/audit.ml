@@ -253,6 +253,13 @@ let records_offset b = Option.map snd (decode b)
    and head (1 + 10 + 32), count (3) and crc (4). *)
 let overhead = 2 + 8 + 10 + Chain.hash_len + 10 + 1 + 10 + Chain.hash_len + 3 + 4
 
+(* Header bytes a barrier's tail spends besides its records in a
+   journal block of its own, at most: the journal block's header, the
+   section's flag byte and length, and the body less the crc the
+   journal block's frame replaces. More than [overhead], so a buffer
+   kept under it fits either container. *)
+let tail_overhead block_size = Jblock.header_size + 1 + Bcodec.varint_size block_size + overhead - 4
+
 (* The records of [chrono] (oldest first) that fit one block, newest
    first, packed greedily by actual encoded size (time deltas vary
    against the first record, the block's base); and the rest. *)
@@ -336,9 +343,10 @@ let flush_buffer t =
   in
   go (List.rev t.buffer)
 
-(* A record joins the buffer even when the flush that makes room for
-   it fails: the flush keeps what it could not write, and the error
-   still reaches the caller. *)
+(* The buffer stays small enough for a barrier to seal it whole into a
+   journal block. A record joins the buffer even when the flush that
+   makes room for it fails: the flush keeps what it could not write,
+   and the error still reaches the caller. *)
 let append t r =
   if t.enabled then begin
     let sz = record_wire_bytes r in
@@ -347,7 +355,8 @@ let append t r =
       t.buffer_bytes <- t.buffer_bytes + sz;
       t.nrecords <- t.nrecords + 1
     in
-    if t.buffer_bytes + sz + overhead > Log.block_size t.log then
+    let block_size = Log.block_size t.log in
+    if t.buffer_bytes + sz + tail_overhead block_size > block_size then
       Fun.protect ~finally:push (fun () -> flush_buffer t)
     else push ()
   end
@@ -355,32 +364,25 @@ let append t r =
 (* The durability barrier's half of the audit trail: seal the buffered
    records into a tail that rides in the store's last journal block, so
    journal entries, records and seal reach the disk in one block write
-   and a torn barrier reads as a shorter chain. A tail too big for a
-   journal block of its own first writes its oldest records out in
-   unsealed blocks. With nothing buffered, a chain that has records
-   past its newest seal (a recovered unsealed tail) gets a record-less
-   sealed tail; else there is nothing to seal. Sealing again before the
-   tail is appended returns the same tail. *)
+   and a torn barrier reads as a shorter chain. [append] keeps the
+   buffer small enough for that, unless flushes failed (a full log, a
+   media fault) and kept their records: such a buffer goes out in
+   unsealed blocks first. With nothing buffered, a chain that has
+   records past its newest seal (a recovered unsealed tail, or that
+   flush) gets a record-less sealed tail; else there is nothing to
+   seal. Sealing again before the tail is appended returns the same
+   tail. *)
 let seal t =
   let block_size = Log.block_size t.log in
-  let rec seal_buffer () =
+  if t.buffer_bytes + tail_overhead block_size > block_size then flush_buffer t;
+  if t.buffer <> [] then begin
+    write_sealed t;
     let chrono = List.rev t.buffer in
     let b, head = next_block t ~seal:true chrono in
     let section = encode_section b in
-    if Jblock.tail_fits ~block_size ~current:0 (Bytes.length section) then begin
-      t.sealed <- Some { block = b; head; section };
-      unbuffer t chrono []
-    end
-    else begin
-      let group_rev, rest = take_block block_size chrono in
-      emit t ~seal:false (List.rev group_rev);
-      unbuffer t group_rev rest;
-      seal_buffer ()
-    end
-  in
-  if t.buffer <> [] then begin
-    write_sealed t;
-    seal_buffer ()
+    assert (Jblock.tail_fits ~block_size ~current:0 (Bytes.length section));
+    t.sealed <- Some { block = b; head; section };
+    unbuffer t chrono []
   end
   else if t.sealed = None && t.chained > t.last_seal.Chain.records then begin
     let b, head = next_block t ~seal:true [] in

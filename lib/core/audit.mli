@@ -47,20 +47,21 @@ val set_enabled : t -> bool -> unit
 
 val append : t -> record -> unit
 (** Buffer a record; a full buffer is first written out as unsealed
-    standalone blocks. *)
+    standalone blocks. The buffer is full when it would no longer fit a
+    journal block as a barrier's tail. *)
 
 val seal : t -> S4_store.Obj_store.tail option
 (** The durability barrier's half of the audit trail, for
     {!S4_store.Obj_store.sync}: the buffered records sealed under the
-    next epoch, as a tail for the store's last journal block. A tail
-    too big for a journal block of its own first writes its oldest
-    records out as unsealed standalone blocks. With nothing buffered,
+    next epoch, as a tail for the store's last journal block. A buffer
+    that outgrew that (flushes failed and kept their records) is first
+    written out as unsealed standalone blocks. With nothing buffered,
     a record-less tail seals records past the newest seal (a recovered
-    unsealed tail); otherwise there is nothing to seal. A sealed tail
-    that has not been appended yet (the barrier failed) is returned
-    again, with the same epoch and head, until one is; records
-    buffered after it are sealed behind it, and it then goes out as a
-    standalone block first. *)
+    unsealed tail, or that flush); otherwise there is nothing to seal.
+    A sealed tail that has not been appended yet (the barrier failed)
+    is returned again, with the same epoch and head, until one is;
+    records buffered after it are sealed behind it, and it then goes
+    out as a standalone block first. *)
 
 val block_count : t -> int
 val record_count : t -> int

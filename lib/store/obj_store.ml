@@ -1237,13 +1237,18 @@ let rec droppable ~cutoff = function
   | [] -> false
   | re :: rest -> (re.e.Entry.time < cutoff && re.jaddr <> Log.none) || droppable ~cutoff rest
 
+(* Whether [expire_object] has anything to do: entries to drop, or a
+   deleted object with no history left (an import without entries, or
+   an image recovered without its journal blocks), which it reclaims. *)
+let expirable obj ~cutoff = droppable ~cutoff obj.o_entries || ((not obj.o_exists) && obj.o_entries = [])
+
 let drop_entry t re =
   List.iter (kill_block t) (Entry.superseded_blocks re.e.Entry.op);
   if re.jaddr <> Log.none then jref_put t re.jaddr re;
   t.s.entries_expired <- t.s.entries_expired + 1
 
 let expire_object t obj ~cutoff =
-  if droppable ~cutoff obj.o_entries then begin
+  if expirable obj ~cutoff then begin
     let retained, dropped = split_entries obj.o_entries ~cutoff in
     if (not obj.o_exists) && retained = [] then begin
       (* The object's delete has aged out: reclaim everything. *)
@@ -1270,7 +1275,7 @@ let expire_object t obj ~cutoff =
 
 let expire t ~cutoff =
   let objs =
-    Hashtbl.fold (fun _ obj acc -> if droppable ~cutoff obj.o_entries then obj :: acc else acc) t.objects []
+    Hashtbl.fold (fun _ obj acc -> if expirable obj ~cutoff then obj :: acc else acc) t.objects []
   in
   List.iter (fun obj -> expire_object t obj ~cutoff) objs
 

@@ -184,6 +184,39 @@ let test_audit_recover () =
   check Alcotest.int "block refound" 1 (Audit.block_count audit2);
   check Alcotest.int "records refound" 2 (List.length (Audit.records audit2 ()))
 
+(* Records that outgrow the buffer while the log is full stay
+   buffered. Once there is room, the next barrier writes them out in
+   unsealed blocks first and seals them with a record-less tail in its
+   journal block: every record is on the chain, under the seal, and
+   back after recovery. *)
+let test_audit_overgrown_buffer_barrier () =
+  let _, disk, store = mk_store ~mb:8 () in
+  let log = Store.log store in
+  let rec fill acc i =
+    match Log.append log (S4_seglog.Tag.Data { oid = 99L; fblock = i }) () with
+    | addr -> fill (addr :: acc) (i + 1)
+    | exception Log.Log_full -> acc
+  in
+  let filler = fill [] 0 in
+  let audit = Audit.create store in
+  let records = List.init 600 (fun i -> rec_ (Int64.of_int i) "some-longer-operation-name") in
+  List.iter (fun r -> try Audit.append audit r with Log.Log_full -> ()) records;
+  check Alcotest.int "nothing written while the log is full" 0 (Audit.block_count audit);
+  List.iter (Log.kill log) filler;
+  check Alcotest.bool "room again" true (Log.reclaim_dead_segments log > 0);
+  barrier store audit;
+  check Alcotest.bool "unsealed blocks, then the tail" true (Audit.block_count audit >= 3);
+  check Alcotest.bool "every record, in order" true (Audit.records audit () = records);
+  check Alcotest.int "the seal covers them all" 600 (Audit.sealed_head audit).S4_integrity.Chain.records;
+  check Alcotest.(list string) "verify clean" [] (Audit.verify audit).S4_integrity.Chain.v_errors;
+  (* Recovery reads a reclaimed segment by the summary written when it
+     closes, so fill the log again to close the one the barrier wrote
+     into. *)
+  ignore (fill [] 0 : int list);
+  let audit2 = Audit.create (Store.recover (Log.reattach disk)) in
+  Audit.recover audit2;
+  check Alcotest.bool "every record after recovery" true (Audit.records audit2 () = records)
+
 (* --- Throttle ---------------------------------------------------------- *)
 
 let test_throttle_quiescent () =
@@ -800,6 +833,7 @@ let () =
           Alcotest.test_case "disabled" `Quick test_audit_disabled;
           Alcotest.test_case "expire" `Quick test_audit_expire;
           Alcotest.test_case "recover" `Quick test_audit_recover;
+          Alcotest.test_case "overgrown buffer goes out at the barrier" `Quick test_audit_overgrown_buffer_barrier;
         ] );
       ( "throttle",
         [

@@ -544,6 +544,20 @@ let test_crash_after_expiry_mirrored_array () =
 
 (* --- a timing-only array keeps its catalog ------------------------------ *)
 
+(* The integrity catalog as each meta-shard member's store holds it:
+   [None] where it does not decode. *)
+let catalog_copies router =
+  List.filter_map
+    (fun (sid, _, d) ->
+      if sid <> Router.meta_shard router then None
+      else
+        match Drive.named_oid d ".s4/integrity" with
+        | None -> Alcotest.fail "no integrity catalog on a meta-shard member"
+        | Some oid ->
+          let st = Drive.store d in
+          Some (Catalog.decode (Store.read st oid ~off:0 ~len:(Store.size st oid))))
+    (Router.members router)
+
 (* A timing-only mirrored array (no data contents kept) still keeps the
    drive-private objects' content: after a crash every member attaches,
    the catalog decodes with every member's entry, and fsck is clean. *)
@@ -573,13 +587,68 @@ let test_timing_only_catalog () =
   Router.run_cleaners router;
   barrier b;
   check Alcotest.(list string) "fsck before the crash" [] (Router.fsck router);
+  let catalog = catalog_copies router in
+  check Alcotest.int "one entry per member" 4
+    (match catalog with Some entries :: _ -> List.length entries | _ -> 0);
   let clock2 = Simclock.create () in
   Simclock.set clock2 (Simclock.now clock);
   let attached =
     Router.attach (array (List.map (fun disk -> Drive.attach ~config (copy_disk ~clock:clock2 disk)) disks))
   in
   check Alcotest.(list string) "fsck after attach" [] (Router.fsck attached);
-  check Alcotest.(list int) "no degraded shard" [] (Router.degraded_shards attached)
+  check Alcotest.(list int) "no degraded shard" [] (Router.degraded_shards attached);
+  check Alcotest.bool "the catalog's entries are back on both meta members" true
+    (List.length catalog = 2 && catalog_copies attached = catalog)
+
+(* A catalog that no longer decodes is evidence, not a reason to start
+   over: after a restart the next barrier leaves it as it is and marks
+   the meta shard degraded, and fsck names it. *)
+let test_bad_catalog_degrades_meta () =
+  let clock = Simclock.create () in
+  let drives = List.init 2 (fun _ -> content_drive ~mb:64 clock) in
+  let router = Router.create (List.mapi (fun i d -> (i, Router.Single d)) drives) in
+  let creates (r : Router.t) =
+    ignore
+      ((Router.backend r).Backend.submit (Rpc.user_cred ~user:1 ~client:1) ~sync:true
+         (Array.make 4 (Rpc.Create { acl = [] })))
+  in
+  creates router;
+  let meta_shard = Router.meta_shard router in
+  let catalog (d : Drive.t) =
+    match Drive.named_oid d ".s4/integrity" with
+    | Some oid -> oid
+    | None -> Alcotest.fail "no integrity catalog"
+  in
+  let meta = List.nth drives meta_shard in
+  let oid = catalog meta in
+  let len = Store.size (Drive.store meta) oid in
+  let garbage = Bytes.make len '\xff' in
+  Store.write (Drive.store meta) oid ~off:0 ~data:garbage ~len ();
+  Store.sync (Drive.store meta);
+  let clock2 = Simclock.create () in
+  Simclock.set clock2 (Simclock.now clock);
+  let config = S4_workload.Systems.content_drive_config in
+  let attached =
+    Router.attach
+      (List.mapi
+         (fun i d -> (i, Router.Single (Drive.attach ~config (copy_disk ~clock:clock2 (Log.disk (Drive.log d))))))
+         drives)
+  in
+  creates attached;
+  check Alcotest.(list int) "meta shard degraded" [ meta_shard ] (Router.degraded_shards attached);
+  let undecodable s =
+    let m = "integrity catalog is undecodable" in
+    let n = String.length m in
+    let rec at i = i + n <= String.length s && (String.sub s i n = m || at (i + 1)) in
+    at 0
+  in
+  check Alcotest.bool "fsck names the catalog" true (List.exists undecodable (Router.fsck attached));
+  let meta2 =
+    Option.get (List.find_map (fun (sid, _, d) -> if sid = meta_shard then Some d else None) (Router.members attached))
+  in
+  let st2 = Drive.store meta2 and oid2 = catalog meta2 in
+  check Alcotest.bool "the catalog is left as it was" true
+    (Store.size st2 oid2 = len && Store.read st2 oid2 ~off:0 ~len = garbage)
 
 (* --- one metadata block per barrier ------------------------------------ *)
 
@@ -588,7 +657,8 @@ let blocks d =
   ((Log.stats (Drive.log d)).Log.appends, (Store.stats (Drive.store d)).Store.data_blocks_written)
 
 (* The blocks every member appends for one synced batch of eight small
-   writes, after a synced batch of creates. *)
+   writes, after a synced batch of creates. A barrier with nothing new
+   after it appends no block on any member. *)
 let batch_blocks (b : Backend.t) members =
   let cred = Rpc.user_cred ~user:1 ~client:1 in
   let oids =
@@ -600,7 +670,12 @@ let batch_blocks (b : Backend.t) members =
   ignore
     (b.Backend.submit cred ~sync:true
        (Array.map (fun oid -> Rpc.Write { oid; off = 0; len = 64; data = Some (Bytes.make 64 'w') }) oids));
-  List.map2 (fun (what, d) (a0, d0) -> let a1, d1 = blocks d in (what, a1 - a0, d1 - d0)) members c0
+  let c1 = List.map (fun (_, d) -> blocks d) members in
+  barrier b;
+  List.iter2
+    (fun (what, d) (a1, _) -> check Alcotest.int (what ^ ": blocks per empty barrier") 0 (fst (blocks d) - a1))
+    members c1;
+  List.map2 (fun (what, _) ((a0, d0), (a1, d1)) -> (what, a1 - a0, d1 - d0)) members (List.combine c0 c1)
 
 let audit_config enabled = { S4_workload.Systems.content_drive_config with Drive.audit_enabled = enabled }
 
@@ -927,6 +1002,8 @@ let () =
           Alcotest.test_case "find/set" `Quick test_catalog_find_set;
           Alcotest.test_case "pruning ages departed floors" `Quick test_catalog_prune_ages_floors;
           Alcotest.test_case "timing-only array keeps its catalog" `Quick test_timing_only_catalog;
+          Alcotest.test_case "an undecodable catalog degrades the meta shard" `Quick
+            test_bad_catalog_degrades_meta;
         ] );
       ( "tamper",
         [

@@ -383,6 +383,23 @@ let test_expire_deleted_object_disappears () =
   check Alcotest.bool "expired count" true ((Store.stats st).Store.objects_expired = 1);
   no_errors st []
 
+(* A deleted object with no history left (here an import without
+   entries) has nothing to drop, and expiry still reclaims it. *)
+let test_expire_reclaims_historyless_object () =
+  let clock, _, _, st = mk () in
+  let oid = Store.next_oid st in
+  Store.import_history st { Store.x_oid = oid; x_created = Simclock.now clock; x_base = None; x_entries = [] };
+  check Alcotest.int "no history" 0 (List.length (Store.journal st oid));
+  tick clock;
+  Store.expire st ~cutoff:(Simclock.now clock);
+  check Alcotest.bool "object forgotten" true
+    (try
+       ignore (Store.journal st oid);
+       false
+     with Store.No_such_object _ -> true);
+  check Alcotest.int "expired count" 1 (Store.stats st).Store.objects_expired;
+  no_errors st []
+
 let test_expire_keeps_checkpoint_reachable () =
   let clock, disk, _, st = mk () in
   let oid = Store.create_object st in
@@ -990,6 +1007,7 @@ let () =
           Alcotest.test_case "frees history" `Quick test_expire_frees_history;
           Alcotest.test_case "respects window" `Quick test_expire_respects_window;
           Alcotest.test_case "deleted object disappears" `Quick test_expire_deleted_object_disappears;
+          Alcotest.test_case "history-less object reclaimed" `Quick test_expire_reclaims_historyless_object;
           Alcotest.test_case "checkpoint reachable" `Quick test_expire_keeps_checkpoint_reachable;
         ] );
       ( "cleaner",
