@@ -430,10 +430,10 @@ let cmd_landmark =
        let m = or_die (S4_tools.Landmark.mark lm ~name) in
        Format.printf "took %a@." S4_tools.Landmark.pp_mark m
      | None ->
-       let marks = S4_tools.Landmark.marks lm in
+       let marks = or_die (S4_tools.Landmark.marks lm) in
        Printf.printf "%d marks:\n" (List.length marks);
        List.iter (fun m -> Format.printf "  %a@." S4_tools.Landmark.pp_mark m) marks;
-       let lms = S4_tools.Landmark.list lm in
+       let lms = or_die (S4_tools.Landmark.list lm) in
        Printf.printf "%d per-object landmarks:\n" (List.length lms);
        List.iter
          (fun (l : S4_tools.Landmark.landmark) ->
@@ -469,7 +469,7 @@ let cmd_recover =
         close_session image s;
         exit 1
     in
-    (match S4_tools.Landmark.find_mark lm name with
+    (match or_die (S4_tools.Landmark.find_mark lm name) with
      | None ->
        prerr_endline ("error: no mark named " ^ name);
        close_session image s;

@@ -20,9 +20,8 @@ let magic = 0x5542 (* "BU" *)
 
 (* One decoded audit block. Every block carries its chain position
    ([start], [prior]) and the prune floor in force when it was written;
-   a barrier's tail also carries the seal. A block is standalone (its
-   own log block) or shared (the trailing section of a journal
-   block). *)
+   a barrier's tail also carries the seal. Every block is a tail: the
+   trailing section of a journal block. *)
 type block = {
   base : int64;
   start : int;
@@ -32,14 +31,12 @@ type block = {
   records : record list;
 }
 
-(* A live block of the log at [addr]; the cleaner's moves update [addr]
-   in place. A shared block's slot is a journal block the store holds
-   for us. *)
+(* A live block at [addr], a journal block the store holds for us; the
+   cleaner's moves update [addr] in place. *)
 type placed = {
   mutable addr : int;
   start : int;
   newest : int64;  (* newest record's time; [Int64.min_int] for none *)
-  shared : bool;
 }
 
 (* A tail sealed at a barrier whose block has not been appended yet:
@@ -182,10 +179,8 @@ let canonical r =
    seal, count, records. The start index and prior head let
    verification resume at any block boundary (incremental verify,
    pruned logs). The seal is a flag byte, then for a sealed block the
-   epoch and the head after the block's records. A standalone block is
-   the body framed like a journal block (zero pad, crc in the last 4
-   bytes); a shared one is the body as a journal block's trailing
-   section, under that block's frame. *)
+   epoch and the head after the block's records. The body is a journal
+   block's trailing section, under that block's frame. *)
 let w_body w b =
   Bcodec.w_u16 w magic;
   Bcodec.w_i64 w b.base;
@@ -201,19 +196,14 @@ let w_body w b =
   Bcodec.w_int w (List.length b.records);
   List.iter (fun r -> w_record w ~base:b.base r) b.records
 
-let encode_block block_size b = Bcodec.frame ~size:block_size (fun w -> w_body w b)
-
 let encode_section b =
   let w = Bcodec.writer ~capacity:256 () in
   w_body w b;
   Bcodec.contents w
 
-(* Where the body in [b] starts: 0 for a standalone block, the
-   trailing section of a journal block. *)
-let body_offset b =
-  if Bytes.length b >= 18 && Bcodec.get_u16 b 0 = magic then
-    if Bcodec.check_frame b then Some 0 else None
-  else Option.map fst (Jblock.tail b)
+(* Where the body in [b], a journal block, starts: its trailing
+   section. *)
+let body_offset b = Option.map fst (Jblock.tail b)
 
 let start_offset b = Option.map (fun off -> off + 10) (body_offset b)
 
@@ -248,23 +238,20 @@ let decode b =
 let decode_block b = Option.map fst (decode b)
 let records_offset b = Option.map snd (decode b)
 
-(* Header bytes a block spends besides its records, at most: magic
-   (2), base (8), start (10), prior (32), floor (10), seal flag, epoch
-   and head (1 + 10 + 32), count (3) and crc (4). *)
-let overhead = 2 + 8 + 10 + Chain.hash_len + 10 + 1 + 10 + Chain.hash_len + 3 + 4
+(* Header bytes a tail spends besides its records in a journal block of
+   its own, at most: the block's header, the section's flag byte and
+   length, and the body's magic (2), base (8), start (10), prior (32),
+   floor (10), seal flag, epoch and head (1 + 10 + 32) and count (3). *)
+let tail_overhead block_size =
+  Jblock.header_size + 1 + Bcodec.varint_size block_size
+  + (2 + 8 + 10 + Chain.hash_len + 10 + 1 + 10 + Chain.hash_len + 3)
 
-(* Header bytes a barrier's tail spends besides its records in a
-   journal block of its own, at most: the journal block's header, the
-   section's flag byte and length, and the body less the crc the
-   journal block's frame replaces. More than [overhead], so a buffer
-   kept under it fits either container. *)
-let tail_overhead block_size = Jblock.header_size + 1 + Bcodec.varint_size block_size + overhead - 4
-
-(* The records of [chrono] (oldest first) that fit one block, newest
+(* The records of [chrono] (oldest first) that fit one tail, newest
    first, packed greedily by actual encoded size (time deltas vary
    against the first record, the block's base); and the rest. *)
 let take_block block_size chrono =
   let base = match chrono with r :: _ -> r.at | [] -> 0L in
+  let overhead = tail_overhead block_size in
   let rec take used acc = function
     | r :: rest as all ->
       let sz = record_size ~base r in
@@ -289,10 +276,10 @@ let next_block t ~seal group =
   let base = match group with r :: _ -> r.at | [] -> 0L in
   ({ base; start; prior = t.chain_head; floor = t.floor; seal; records = group }, head)
 
-(* The chain state moves only once the block holding [b] has its
-   address. *)
-let appended t ~addr ~shared (b : block) ~head =
-  t.blocks <- { addr; start = b.start; newest = newest_of b.records; shared } :: t.blocks;
+(* The chain state moves only once the journal block holding [b] has
+   its address. *)
+let appended t ~addr (b : block) ~head =
+  t.blocks <- { addr; start = b.start; newest = newest_of b.records } :: t.blocks;
   t.index <- None;
   t.chain_head <- head;
   t.chained <- b.start + List.length b.records;
@@ -302,25 +289,30 @@ let appended t ~addr ~shared (b : block) ~head =
       t.seal_start <- b.start)
     b.seal
 
-let append_standalone t b ~head =
-  let addr = Log.append t.log Tag.Audit ~data:(encode_block (Log.block_size t.log) b) () in
-  appended t ~addr ~shared:false b ~head
+(* A sealed tail as the store takes it: appended once, after which it
+   is no longer pending. *)
+let sealed_tail t s =
+  let on_append addr =
+    match t.sealed with
+    | Some s' when s' == s ->
+      appended t ~addr s.block ~head:s.head;
+      t.sealed <- None
+    | _ -> ()
+  in
+  { Store.section = s.section; on_append }
 
 (* A tail sealed at a barrier that failed precedes anything appended
-   after it on the chain, so it goes out first, in a block of its
-   own. *)
-let write_sealed t =
-  match t.sealed with
-  | Some s ->
-    append_standalone t s.block ~head:s.head;
-    t.sealed <- None
-  | None -> ()
+   after it on the chain, so it goes out first, in a journal block of
+   its own. *)
+let write_sealed t = Option.iter (fun s -> Store.append_tail t.store (sealed_tail t s)) t.sealed
 
-(* Append a standalone block holding [group] at the chain's end. *)
-let emit t ~seal group =
+(* Append an unsealed tail holding [group] at the chain's end, in a
+   journal block of its own. *)
+let emit t group =
   write_sealed t;
-  let b, head = next_block t ~seal group in
-  append_standalone t b ~head
+  let b, head = next_block t ~seal:false group in
+  Store.append_tail t.store
+    { Store.section = encode_section b; on_append = (fun addr -> appended t ~addr b ~head) }
 
 (* [group_rev] (newest first) left the buffer, [rest] (oldest first)
    stays. *)
@@ -328,7 +320,7 @@ let unbuffer t group_rev rest =
   List.iter (fun r -> t.buffer_bytes <- t.buffer_bytes - record_wire_bytes r) group_rev;
   t.buffer <- List.rev rest
 
-(* Write the buffer out in unsealed blocks. Records leave the buffer
+(* Write the buffer out in unsealed tails. Records leave the buffer
    only once their block is appended: a full log (or a media fault)
    part-way through keeps the rest buffered. *)
 let flush_buffer t =
@@ -337,7 +329,7 @@ let flush_buffer t =
     match take_block block_size chrono with
     | [], _ -> ()
     | group_rev, rest ->
-      emit t ~seal:false (List.rev group_rev);
+      emit t (List.rev group_rev);
       unbuffer t group_rev rest;
       go rest
   in
@@ -367,7 +359,7 @@ let append t r =
    and a torn barrier reads as a shorter chain. [append] keeps the
    buffer small enough for that, unless flushes failed (a full log, a
    media fault) and kept their records: such a buffer goes out in
-   unsealed blocks first. With nothing buffered, a chain that has
+   unsealed tails first. With nothing buffered, a chain that has
    records past its newest seal (a recovered unsealed tail, or that
    flush) gets a record-less sealed tail; else there is nothing to
    seal. Sealing again before the tail is appended returns the same
@@ -388,17 +380,7 @@ let seal t =
     let b, head = next_block t ~seal:true [] in
     t.sealed <- Some { block = b; head; section = encode_section b }
   end;
-  Option.map
-    (fun s ->
-      let on_append addr =
-        match t.sealed with
-        | Some s' when s' == s ->
-          appended t ~addr ~shared:true s.block ~head:s.head;
-          t.sealed <- None
-        | _ -> ()
-      in
-      { Store.section = s.section; on_append })
-    t.sealed
+  Option.map (sealed_tail t) t.sealed
 
 let block_count t = List.length t.blocks
 let block_addrs t = List.map (fun p -> p.addr) t.blocks
@@ -430,8 +412,8 @@ let records t ?(since = 0L) ?(until = Int64.max_int) () =
 (* The floor moves to the first record of the oldest block that still
    holds a record inside the window, but never past the newest sealed
    block, which keeps the chain's position across restarts. The new
-   floor reaches the log, in a record-less block, before any block it
-   drops dies: the log flushes in append order and opens a segment
+   floor reaches the log, in a record-less tail, before any block it
+   drops is released: the log flushes in append order and opens a segment
    (reclaimed or not) only after flushing the one before, so no write
    can overwrite a dropped block while the disk still lacks the floor
    that drops it. A full log keeps everything until the next pass. *)
@@ -445,12 +427,10 @@ let expire t ~cutoff =
   else begin
     let prev = t.floor in
     t.floor <- floor;
-    match emit t ~seal:false [] with
+    match emit t [] with
     | () ->
       let dropped, kept = List.partition (fun p -> p.start < floor) t.blocks in
-      List.iter
-        (fun p -> if p.shared then Store.release_tail t.store p.addr else Log.kill t.log p.addr)
-        dropped;
+      List.iter (fun p -> Store.release_tail t.store p.addr) dropped;
       t.blocks <- kept;
       List.length dropped
     | exception Log.Log_full ->
@@ -486,12 +466,11 @@ let on_move t ~old_addr ~new_addr =
 (* Assemble chain items from the persisted log. Forensic [Log.peek]
    (uncharged) — verification is an offline examination, not workload
    I/O. A block the drive believes is live but no longer decodes is
-   reported as Bad. Only live blocks count: live audit blocks, and the
-   journal blocks whose tail the store holds for the trail. An expired
-   block stays tagged in its segment until the cleaner reclaims the
-   segment (and an expired tail's journal block may stay live for its
-   entries), and walking it would make the chain's tail reappear and
-   vanish with cleaning. *)
+   reported as Bad. Only the journal blocks whose tail the store holds
+   for the trail count. An expired tail stays in its segment until the
+   cleaner reclaims the segment (and its journal block may stay live
+   for its entries), and walking it would make the chain's tail
+   reappear and vanish with cleaning. *)
 let chain_items t =
   let item addr =
     match decode_block (Log.peek t.log addr) with
@@ -502,10 +481,7 @@ let chain_items t =
   in
   List.filter_map
     (fun (addr, tag) ->
-      match tag with
-      | Tag.Audit when Log.is_live t.log addr -> Some (item addr)
-      | Tag.Journal when Store.holds_tail t.store addr -> Some (item addr)
-      | _ -> None)
+      match tag with Tag.Journal when Store.holds_tail t.store addr -> Some (item addr) | _ -> None)
     (Log.all_tagged t.log)
 
 let verify ?from ?lenient_tail t = Chain.verify ?from ?lenient_tail (chain_items t)
@@ -513,12 +489,12 @@ let verify ?from ?lenient_tail t = Chain.verify ?from ?lenient_tail (chain_items
 (* ------------------------------------------------------------------ *)
 (* Recovery                                                            *)
 
-(* Re-find the live trail among every decodable audit block on disk,
-   dead ones included: standalone blocks, and tails in journal blocks.
-   Only blocks at or above the largest floor any block carries count,
-   and one copy of byte-identical blocks at one start (the cleaner's
-   relocations; the copy store recovery already holds for its entries,
-   if any, so both halves of a shared slot stay in one block). Two
+(* Re-find the live trail among every decodable tail in the journal
+   slots on disk, dead ones included. Only blocks at or above the
+   largest floor any block carries count, and one copy of
+   byte-identical blocks at one start (the cleaner's relocations; the
+   copy store recovery already holds for its entries, if any, so both
+   halves of a slot stay in one block). Two
    different blocks at one start both stay, for verification to report
    the overlap. A gap above the floor stays a gap: the floor is read
    from the disk, not inferred from the blocks that happen to survive.
@@ -529,17 +505,15 @@ let recover t =
     List.filter_map
       (fun (addr, tag) ->
         match tag with
-        | Tag.Audit | Tag.Unknown | Tag.Journal -> (
+        | Tag.Journal ->
           let bytes = Log.peek t.log addr in
-          match decode bytes with
-          | Some (b, _) -> Some (addr, b, Bcodec.get_u16 bytes 0 <> magic, bytes)
-          | None -> None)
+          Option.map (fun b -> (addr, b, bytes)) (decode_block bytes)
         | _ -> None)
       (Log.all_tagged t.log)
-    |> List.stable_sort (fun (a, _, _, _) (b, _, _, _) ->
+    |> List.stable_sort (fun (a, _, _) (b, _, _) ->
            compare (not (Log.is_live t.log a)) (not (Log.is_live t.log b)))
   in
-  let floor = List.fold_left (fun acc (_, (b : block), _, _) -> max acc b.floor) 0 found in
+  let floor = List.fold_left (fun acc (_, (b : block), _) -> max acc b.floor) 0 found in
   let seen = Hashtbl.create 64 in
   let first_copy bytes =
     (not (Hashtbl.mem seen bytes))
@@ -548,8 +522,8 @@ let recover t =
      true)
   in
   let live =
-    List.filter (fun (_, (b : block), _, bytes) -> b.start >= floor && first_copy bytes) found
-    |> List.stable_sort (fun (_, (a : block), _, _) (_, (b : block), _, _) ->
+    List.filter (fun (_, (b : block), bytes) -> b.start >= floor && first_copy bytes) found
+    |> List.stable_sort (fun (_, (a : block), _) (_, (b : block), _) ->
            compare (a.start, a.records <> []) (b.start, b.records <> []))
   in
   (* Rebuild the running head by replaying the blocks in index order.
@@ -558,9 +532,9 @@ let recover t =
      usable head for new records. *)
   let idx = ref (-1) and hash = ref Chain.genesis_hash in
   List.iter
-    (fun (addr, (b : block), shared, _) ->
-      if shared then Store.hold_tail t.store addr else Log.mark_live t.log addr Tag.Audit;
-      t.blocks <- { addr; start = b.start; newest = newest_of b.records; shared } :: t.blocks;
+    (fun (addr, (b : block), _) ->
+      Store.hold_tail t.store addr;
+      t.blocks <- { addr; start = b.start; newest = newest_of b.records } :: t.blocks;
       t.nrecords <- t.nrecords + List.length b.records;
       (match b.seal with
        | Some h when h.Chain.epoch > t.last_seal.Chain.epoch ->

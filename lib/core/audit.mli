@@ -4,17 +4,18 @@
     commands alike — is recorded with its originating user and client.
     The log lives behind the security perimeter as a reserved,
     append-only stream that only the drive front end can write: records
-    are packed into blocks that enter the same segment stream as data
-    (which is what perturbs read locality in the paper's Figure 6
-    microbenchmark). The audit log is not versioned; it is pruned only
-    by aging.
+    are packed into blocks, each the trailing section (tail) of a
+    journal block in the store's metadata stream, which enters the same
+    segment stream as data (which is what perturbs read locality in the
+    paper's Figure 6 microbenchmark). The audit log is not versioned;
+    it is pruned only by aging.
 
     Records are buffered in memory and written out when a full block
     accumulates — the paper's "one disk write roughly every 750
-    operations" behaviour. At each durability barrier the buffered
-    records are {!seal}ed into a tail that rides as the trailing
-    section of the store's last journal block, so a barrier writes no
-    block of its own for the audit trail.
+    operations" behaviour — as an unsealed tail in a journal block with
+    no entries. At each durability barrier the buffered records are
+    {!seal}ed into a tail that rides in the store's last journal block,
+    so a barrier writes no block of its own for the audit trail.
 
     The persisted log is additionally tamper-evident: each appended
     record extends a SHA-256 hash chain ({!S4_integrity.Chain}), every
@@ -36,9 +37,9 @@ type record = {
 type t
 
 val create : ?enabled:bool -> S4_store.Obj_store.t -> t
-(** The trail of the drive whose store is given: its blocks share the
-    store's log, and its barrier tails ride in the store's journal
-    blocks. *)
+(** The trail of the drive whose store is given: every block it writes
+    is a tail in one of the store's journal blocks, which the store
+    holds for it. *)
 
 val enabled : t -> bool
 val set_enabled : t -> bool -> unit
@@ -47,51 +48,51 @@ val set_enabled : t -> bool -> unit
 
 val append : t -> record -> unit
 (** Buffer a record; a full buffer is first written out as unsealed
-    standalone blocks. The buffer is full when it would no longer fit a
-    journal block as a barrier's tail. *)
+    tails, each in a journal block with no entries
+    ({!S4_store.Obj_store.append_tail}). The buffer is full when it
+    would no longer fit a journal block as a barrier's tail. *)
 
 val seal : t -> S4_store.Obj_store.tail option
 (** The durability barrier's half of the audit trail, for
     {!S4_store.Obj_store.sync}: the buffered records sealed under the
     next epoch, as a tail for the store's last journal block. A buffer
     that outgrew that (flushes failed and kept their records) is first
-    written out as unsealed standalone blocks. With nothing buffered,
+    written out as unsealed tails. With nothing buffered,
     a record-less tail seals records past the newest seal (a recovered
     unsealed tail, or that flush); otherwise there is nothing to seal.
     A sealed tail that has not been appended yet (the barrier failed)
     is returned again, with the same epoch and head, until one is;
     records buffered after it are sealed behind it, and it then goes
-    out as a standalone block first. *)
+    out first, in a journal block of its own. *)
 
 val block_count : t -> int
 val record_count : t -> int
 
 val block_addrs : t -> int list
-(** Addresses of the trail's live blocks, standalone and shared, newest
-    first (for cross-layer liveness checks). *)
+(** Addresses of the journal blocks holding the trail's live tails,
+    newest first (for cross-layer liveness checks). *)
 
 val records : t -> ?since:int64 -> ?until:int64 -> unit -> record list
 (** Chronological records in the given (inclusive) time range; reads
-    audit blocks through the log (charged). *)
+    the tails' journal blocks through the log (charged). *)
 
 val expire : t -> cutoff:int64 -> int
 (** Move the prune floor to the first record of the oldest block holding
     a record at or after the cutoff (never past the newest sealed block),
-    write the floor in a record-less standalone block, then free every
-    block below it (a shared one is released to the store, which frees
-    it once its entries are gone too); returns blocks freed. A full log
-    frees nothing. *)
+    write the floor in a record-less tail, then release every block
+    below it to the store, which frees its journal block once the
+    block's entries are gone too; returns blocks released. A full log
+    releases nothing. *)
 
 val on_move : t -> old_addr:int -> new_addr:int -> unit
-(** Cleaner relocation callback, for standalone blocks and shared
-    journal blocks alike. *)
+(** Cleaner relocation callback for the journal blocks holding the
+    trail's tails. *)
 
 val recover : t -> unit
 (** After a crash ({!S4_seglog.Log.reattach} + store recovery), re-find
-    the live trail: standalone blocks and journal-block tails at or
-    above the largest floor on disk, one copy of byte-identical blocks
-    at one start; re-mark the standalone ones live and hold the shared
-    ones in the store. *)
+    the live trail among the tails in journal slots: those at or above
+    the largest floor on disk, one copy of byte-identical blocks at one
+    start, each held again in the store. *)
 
 (** {1 Block codec} Exposed for tests and forensic tools. *)
 
@@ -105,8 +106,7 @@ type block = {
 }
 
 val decode_block : Bytes.t -> block option
-(** The audit block in [b]: a standalone audit block, or the tail a
-    journal block carries. *)
+(** The audit block in [b]: the tail a journal block carries. *)
 
 val start_offset : Bytes.t -> int option
 val records_offset : Bytes.t -> int option

@@ -76,9 +76,9 @@ let detection_cutoff t =
 
 let superblock_magic = 0x5342_3453 (* "S4SB" *)
 
-(* Version 3: a barrier's sealed audit tail rides in its journal
-   block. *)
-let superblock_version = 3
+(* Version 4: every audit body is the trailing section of a journal
+   block; the log has no audit block of its own. *)
+let superblock_version = 4
 
 let write_superblock t =
   let w = Bcodec.writer () in
@@ -143,6 +143,10 @@ let register_name t name oid =
   if List.mem_assoc name entries then
     invalid_arg (Printf.sprintf "Drive.register_name: %s exists" name);
   write_ptable t ((name, oid) :: entries)
+
+(* A fail-closed event no request caused, on the audit trail. *)
+let record_event t ~op ~info =
+  Audit.append t.audit { Audit.at = now t; user = 0; client = 0; op; oid = 0L; info; ok = false }
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -210,8 +214,8 @@ let attach ?(config = default_config) disk =
      chain. A recovered chain *newer* than the anchor is ordinary crash
      state; an anchor the chain cannot reproduce means the log was
      rewound or rewritten behind the device's back. That fails closed:
-     the drive serves degraded and [fsck] names the anchor, and nothing
-     is reset. *)
+     the drive serves degraded, [fsck] names the anchor, the event goes
+     on the trail, and nothing is reset. *)
   (match Sim_disk.saved_head (Log.disk log) with
    | None -> ()
    | Some h ->
@@ -222,7 +226,9 @@ let attach ?(config = default_config) disk =
            h.S4_integrity.Chain.epoch h.S4_integrity.Chain.records S4_integrity.Chain.pp_result r
        in
        Logs.warn (fun m -> m "attach: %s" msg);
-       t.anchor_error <- Some msg
+       t.anchor_error <- Some msg;
+       record_event t ~op:"attach"
+         ~info:(Printf.sprintf "device anchor off chain (epoch %d, %d records)" h.epoch h.records)
      end);
   t
 

@@ -44,11 +44,12 @@ val format : ?config:config -> S4_disk.Sim_disk.t -> t
 
 val attach : ?config:config -> S4_disk.Sim_disk.t -> t
 (** Crash recovery: rebuild the drive from on-disk state (segment
-    summaries, journal blocks, checkpoints, audit blocks,
-    superblock). Unsynced pre-crash state is lost. The device-held
-    anchor must lie on the recovered audit chain (a chain newer than
-    the anchor is ordinary crash state); otherwise the drive comes up
-    {!degraded} and {!fsck} reports the anchor. Raises
+    summaries, journal blocks and the audit tails they carry,
+    checkpoints, superblock). Unsynced pre-crash state is lost. The
+    device-held anchor must lie on the recovered audit chain (a chain
+    newer than the anchor is ordinary crash state); otherwise the drive
+    comes up {!degraded}, {!fsck} reports the anchor, and the event is
+    recorded on the audit trail (see {!record_event}). Raises
     [Invalid_argument] on a disk without a superblock, or one written
     in another on-disk format version (the message names both). *)
 
@@ -123,6 +124,11 @@ val pool_pressure : t -> float
 val fsck : t -> string list
 (** Full cross-layer invariant check; empty = healthy. Includes the
     device anchor check made at {!attach}. *)
+
+val record_event : t -> op:string -> info:string -> unit
+(** Put a fail-closed event ({!attach}'s off-chain anchor, an array's
+    undecodable catalog) on the audit trail: one record with
+    [ok = false], the admin principal and no object. *)
 
 val ops_handled : t -> int
 

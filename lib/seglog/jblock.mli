@@ -10,10 +10,11 @@
     blocks even in a segment whose summary was never written.
 
     A block may also carry one trailing section after its entries,
-    opaque to the log: the audit trail's sealed tail, which rides in the
-    barrier's last journal block instead of taking a block of its own.
-    A block without a section encodes exactly as it would if sections
-    did not exist. *)
+    opaque to the log: the audit trail's body (a tail), which is never
+    a block of its own — a barrier's sealed tail rides in its last
+    journal block, and a tail written between barriers in one with no
+    entries. A block without a section encodes exactly as it would if
+    sections did not exist. *)
 
 type entry = {
   oid : int64;  (** object the change applies to *)

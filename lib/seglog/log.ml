@@ -272,7 +272,7 @@ let close_segment t =
   flush_buffered t;
   let sg = t.segs.(t.current) in
   let tags =
-    Array.map (function Some tg -> tg | None -> Tag.Summary (* unreachable *)) sg.tags
+    Array.map (function Some tg -> tg | None -> Tag.Unknown (* unreachable *)) sg.tags
   in
   let summary = Summary.encode ~block_size:t.block_size { Summary.epoch = sg.epoch; tags } in
   let saddr = addr_of t ~seg:sg.index ~slot:t.usable in
@@ -531,7 +531,7 @@ let reattach disk =
             (fun e -> if e.Jblock.time > !tmax then tmax := e.Jblock.time)
             entries
         | None ->
-          (* Blocks we cannot identify (data, audit, checkpoints) are
+          (* Blocks we cannot identify (data, checkpoints) are
              kept as Unknown; their owners re-tag them during
              recovery. *)
           if nonzero b then begin

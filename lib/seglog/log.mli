@@ -133,8 +133,8 @@ val seg_live_addrs : t -> int -> (addr * Tag.t) list
 val all_tagged : t -> (addr * Tag.t) list
 (** Every written slot whose tag is known (live or dead), ascending by
     address. After {!reattach} this reflects what segment summaries and
-    block probing could identify; used by owners of non-journal streams
-    (e.g. the audit log) to re-find their blocks. *)
+    block probing could identify; used by owners that re-find their
+    blocks by tag (checkpoint images, the audit trail's tails). *)
 
 val reclaim_dead_segments : t -> int
 (** Free closed segments with no live blocks; returns how many. *)

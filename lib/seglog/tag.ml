@@ -5,13 +5,12 @@ type t =
   | Journal
   | Checkpoint of { oid : int64 }
   | Ckpack
-  | Objmap
-  | Audit
-  | Summary
   | Unknown
 
 let equal a b = a = b
 
+(* Kinds 3, 4 and 5 are retired: they do not decode, and no kind
+   takes their bytes. *)
 let encode w = function
   | Data { oid; fblock } ->
     Bcodec.w_u8 w 0;
@@ -22,9 +21,6 @@ let encode w = function
     Bcodec.w_u8 w 2;
     Bcodec.w_i64 w oid
   | Ckpack -> Bcodec.w_u8 w 7
-  | Objmap -> Bcodec.w_u8 w 3
-  | Audit -> Bcodec.w_u8 w 4
-  | Summary -> Bcodec.w_u8 w 5
   | Unknown -> Bcodec.w_u8 w 6
 
 let decode r =
@@ -37,9 +33,6 @@ let decode r =
   | 2 ->
     let oid = Bcodec.r_i64 r in
     Checkpoint { oid }
-  | 3 -> Objmap
-  | 4 -> Audit
-  | 5 -> Summary
   | 6 -> Unknown
   | 7 -> Ckpack
   | k -> raise (Bcodec.Decode_error (Printf.sprintf "Tag: bad kind %d" k))
@@ -49,11 +42,8 @@ let pp ppf = function
   | Journal -> Format.fprintf ppf "journal"
   | Checkpoint { oid } -> Format.fprintf ppf "checkpoint(%Ld)" oid
   | Ckpack -> Format.fprintf ppf "ckpack"
-  | Objmap -> Format.fprintf ppf "objmap"
-  | Audit -> Format.fprintf ppf "audit"
-  | Summary -> Format.fprintf ppf "summary"
   | Unknown -> Format.fprintf ppf "unknown"
 
 let oid = function
   | Data { oid; _ } | Checkpoint { oid } -> Some oid
-  | Journal | Ckpack | Objmap | Audit | Summary | Unknown -> None
+  | Journal | Ckpack | Unknown -> None

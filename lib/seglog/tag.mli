@@ -8,21 +8,18 @@
 type t =
   | Data of { oid : int64; fblock : int }
       (** object data; [fblock] is the block index within the object *)
-  | Journal  (** packed journal entries (possibly several objects) *)
+  | Journal
+      (** packed journal entries (possibly several objects), and the
+          audit trail's tail as the block's trailing section when it
+          carries one *)
   | Checkpoint of { oid : int64 }
       (** dedicated (multi-block) metadata image for one large object *)
   | Ckpack  (** packed checkpoint block: many small objects' images *)
-  | Objmap
-      (** reserved for a persistent object map; the store recovers by
-          scanning self-identifying blocks instead, so this tag is
-          currently unused *)
-  | Audit  (** audit-log block (reserved object) *)
-  | Summary  (** segment summary block *)
   | Unknown
       (** assigned by crash-recovery probing to non-empty blocks it
-          cannot identify (e.g. audit blocks in a segment whose summary
-          was never written); their owners re-identify and re-tag them
-          via [mark_live] *)
+          cannot identify (data and checkpoint blocks in a segment
+          whose summary was never written); their owners re-identify
+          and re-tag them via [mark_live] *)
 
 val equal : t -> t -> bool
 val encode : S4_util.Bcodec.writer -> t -> unit

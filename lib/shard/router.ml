@@ -39,7 +39,7 @@ type t = {
   mutable migrations : migration list;  (* FIFO *)
   private_oids : (int64, unit) Hashtbl.t;  (* per-drive ptable objects *)
   mutable catalog_oid : int64 option;  (* meta-shard integrity catalog *)
-  mutable catalog_cache : Catalog.entry list option;  (* last written *)
+  mutable catalog_cache : [ `Ok of Catalog.entry list | `Bad ] option;  (* last written or read *)
   pmount_cache : (string, int64) Hashtbl.t;
   mutable ops : int;
   mutable migrated_objects : int;
@@ -338,7 +338,7 @@ let write_catalog t entries =
         Store.write st oid ~off:0 ~data ~len ();
         if Store.size st oid > len then Store.truncate st oid ~size:len)
       (catalog_stores t);
-    t.catalog_cache <- Some entries
+    t.catalog_cache <- Some (`Ok entries)
 
 let catalog_init t =
   if t.catalog_oid = None && catalog_wanted t then begin
@@ -394,7 +394,8 @@ let array_window t =
    floor's [at] stamp ages past the detection window, at which point
    it is pruned like any other expired history. A catalog that no
    longer decodes is evidence too: it is left as it is for [fsck] to
-   report, and the meta shard serves degraded. *)
+   report, the meta shard serves degraded, and the first barrier to
+   find it seals the event into the meta members' trails. *)
 let update_catalog t =
   let meta = shard t t.meta in
   let merge prev =
@@ -420,20 +421,22 @@ let update_catalog t =
         prev live_heads
       |> Catalog.prune ~now ~window:(array_window t) ~live
     in
-    if t.catalog_cache <> Some entries then write_catalog t entries
+    if t.catalog_cache <> Some (`Ok entries) then write_catalog t entries
   in
   match t.catalog_oid with
   | None -> ()
   | Some _ -> (
     try
+      let catalog = match t.catalog_cache with Some ((`Ok _ | `Bad) as c) -> c | None -> read_catalog t in
+      if catalog = `Bad && t.catalog_cache = None then begin
+        t.catalog_cache <- Some `Bad;
+        meta.sh_degraded <- true;
+        List.iter
+          (fun d -> Drive.record_event d ~op:"catalog" ~info:"integrity catalog undecodable")
+          (shard_drives meta)
+      end;
       List.iter (fun d -> ignore (Audit.seal (Drive.audit d))) (all_drives t);
-      match t.catalog_cache with
-      | Some prev -> merge prev
-      | None -> (
-        match read_catalog t with
-        | `Ok prev -> merge prev
-        | `Bad -> meta.sh_degraded <- true
-        | `No_catalog -> ())
+      match catalog with `Ok prev -> merge prev | `Bad | `No_catalog -> ()
     with Fault.Read_fault _ | Fault.Write_fault _ | Log.Log_full ->
       meta.sh_degraded <- true;
       meta.sh_io_errors <- meta.sh_io_errors + 1)
@@ -515,7 +518,7 @@ let repair_catalog t =
       write_catalog t entries';
       List.iter Store.sync (catalog_stores t)
     end
-    else t.catalog_cache <- Some entries
+    else t.catalog_cache <- Some (`Ok entries)
 
 (* Fan a Verify_log out to every drive of every shard — mirror
    secondaries included, which ordinary dispatch never reaches — and

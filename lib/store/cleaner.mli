@@ -56,7 +56,8 @@ val set_charged : t -> bool -> unit
 (** [set_charged t false] = [set_mode t Free]; convenience. *)
 
 val set_on_audit_move : t -> (Obj_store.addr -> Obj_store.addr -> unit) -> unit
-(** Callback invoked when compaction relocates an audit-log block. *)
+(** Callback invoked when compaction relocates a journal block holding
+    an audit tail. *)
 
 val cutoff : t -> int64
 (** [now - window], clamped at 0: versions strictly older are

@@ -221,6 +221,31 @@ let holds_tail t jaddr = Hashtbl.mem t.tails jaddr
 (* The first [n] elements of [l] dropped. *)
 let rec drop n l = match l with _ :: rest when n > 0 -> drop (n - 1) rest | _ -> l
 
+(* Append one journal block holding [group] (oldest first, each entry
+   in the form it was sized in) and [tail] as its trailing section;
+   each entry, and the audit trail for the tail, hold a reference. *)
+let write_jblock t ?tail group =
+  let data =
+    Jblock.encode ~block_size:(bs t) ~prev:t.last_jaddr
+      ?tail:(Option.map (fun tl -> tl.section) tail)
+      (List.map snd group)
+  in
+  let jaddr = Log.append t.log Tag.Journal ~data () in
+  List.iter
+    (fun (re, _) ->
+      re.jaddr <- jaddr;
+      jref_get t jaddr re)
+    group;
+  t.last_jaddr <- jaddr;
+  t.s.journal_blocks_written <- t.s.journal_blocks_written + 1;
+  Option.iter
+    (fun tl ->
+      hold_tail t jaddr;
+      tl.on_append jaddr)
+    tail
+
+let append_tail t tail = write_jblock t ~tail []
+
 (* Entries leave [pending] only once their block is appended: a full
    log or a media fault part-way through a multi-block flush keeps
    every entry not yet in an appended block pending, and the error
@@ -234,26 +259,8 @@ let flush_journal ?tail t =
   (* Each entry is encoded once, when it is sized; the group keeps
      that form for its block. *)
   let emit ?tail group_rev =
-    let group = List.rev group_rev in
-    let data =
-      Jblock.encode ~block_size ~prev:t.last_jaddr
-        ?tail:(Option.map (fun tl -> tl.section) tail)
-        (List.map snd group)
-    in
-    let jaddr = Log.append t.log Tag.Journal ~data () in
-    List.iter
-      (fun (re, _) ->
-        re.jaddr <- jaddr;
-        jref_get t jaddr re;
-        incr written)
-      group;
-    t.last_jaddr <- jaddr;
-    t.s.journal_blocks_written <- t.s.journal_blocks_written + 1;
-    Option.iter
-      (fun tl ->
-        hold_tail t jaddr;
-        tl.on_append jaddr)
-      tail
+    write_jblock t ?tail (List.rev group_rev);
+    written := !written + List.length group_rev
   in
   let group = ref [] in
   let group_size = ref 0 in
@@ -268,17 +275,14 @@ let flush_journal ?tail t =
     group := (re, je) :: !group;
     group_size := !group_size + sz
   in
+  let fits tl = Jblock.tail_fits ~block_size ~current:!group_size (Bytes.length tl.section) in
   let last () =
-    match (!group, tail) with
-    | [], None -> ()
-    | g, None -> emit g
-    | [], Some _ -> emit ?tail []
-    | g, Some tl ->
-      if Jblock.tail_fits ~block_size ~current:!group_size (Bytes.length tl.section) then emit ?tail g
-      else begin
-        emit g;
-        emit ?tail []
-      end
+    match tail with
+    | Some tl when !group <> [] && not (fits tl) ->
+      emit !group;
+      emit ?tail []
+    | Some _ -> emit ?tail !group
+    | None -> if !group <> [] then emit !group
   in
   match
     List.iter add chronological;
@@ -1386,7 +1390,7 @@ let recover ?(config = default_config) log =
                 end
               end
             | None -> ()))
-      | Tag.Data _ | Tag.Journal | Tag.Objmap | Tag.Audit | Tag.Summary -> ())
+      | Tag.Data _ | Tag.Journal -> ())
     (Log.all_tagged log);
   (* Cold objects may have an image but no surviving journal entries. *)
   Hashtbl.iter
@@ -1604,8 +1608,9 @@ let compact_segment t ~seg ?(on_audit_move = fun _ _ -> ()) () =
         end
       in
       let move_block ?(force_data = false) addr tag =
-        (* Metadata streams (journal, checkpoints, audit) always carry
-           real on-disk content, even in timing-only mode. *)
+        (* Metadata streams (journal, with its audit tails, and
+           checkpoints) always carry real on-disk content, even in
+           timing-only mode. *)
         let content =
           if t.cfg.keep_data || force_data then Some (Log.peek log addr) else None
         in
@@ -1678,9 +1683,6 @@ let compact_segment t ~seg ?(on_audit_move = fun _ _ -> ()) () =
                remap_entries ();
                checkpoint_object_internal t obj;
                incr moved)
-          | Tag.Audit ->
-            let fresh = move_block ~force_data:true addr Tag.Audit in
-            on_audit_move addr fresh
           | Tag.Ckpack ->
             (match Hashtbl.find_opt t.cpack_members addr with
              | None -> kill_block t addr
@@ -1701,7 +1703,7 @@ let compact_segment t ~seg ?(on_audit_move = fun _ _ -> ()) () =
                        List.map (fun a -> if a = addr then fresh else a) obj.o_ckpt_addrs
                    | None -> ())
                  !members)
-          | Tag.Objmap | Tag.Summary | Tag.Unknown ->
+          | Tag.Unknown ->
             (* Not expected among live data slots; reclaim. *)
             kill_block t addr
       in
@@ -1770,14 +1772,13 @@ let check ?(extra_live = []) t =
        let c = match Hashtbl.find_opt computed a with Some c -> !c | None -> 0 in
        if c <> !r then err "pack block %d refcount %d but %d objects point at it" a !r c)
      t.cpack_refs);
-  (* The audit trail's blocks: its own, and the journal blocks whose
-     tail it holds (expected above as journal blocks), which must be
-     exactly the ones the store believes it holds. *)
+  (* The audit trail's blocks are exactly the journal blocks whose tail
+     the store holds (expected above as journal blocks). *)
   let owned = Hashtbl.create (List.length extra_live) in
   List.iter
     (fun a ->
       Hashtbl.replace owned a ();
-      if not (Hashtbl.mem t.tails a) then expect a Tag.Audit)
+      if not (Hashtbl.mem t.tails a) then err "audit block %d is not a tail the store holds" a)
     extra_live;
   Hashtbl.iter
     (fun a () -> if not (Hashtbl.mem owned a) then err "journal block %d holds an audit tail nobody owns" a)
@@ -1795,7 +1796,6 @@ let check ?(extra_live = []) t =
         | Tag.Ckpack, Some Tag.Ckpack -> ()
         | Tag.Checkpoint { oid }, Some (Tag.Checkpoint c) ->
           if c.oid <> oid then err "checkpoint block %d oid mismatch" a
-        | Tag.Audit, Some Tag.Audit -> ()
         | _, other ->
           err "block %d tag mismatch: expected %a, found %s" a Tag.pp tag
             (match other with Some tg -> Format.asprintf "%a" Tag.pp tg | None -> "none")

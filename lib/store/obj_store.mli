@@ -118,10 +118,11 @@ val current_acl_raw : t -> oid -> Bytes.t
     Raises [No_such_object] for unknown oids. *)
 
 type tail = {
-  section : Bytes.t;  (** an audit trail's sealed tail, encoded *)
+  section : Bytes.t;  (** an audit trail's body, encoded *)
   on_append : addr -> unit;  (** told the journal block it landed in *)
 }
-(** The audit half of a barrier's metadata block. *)
+(** The audit half of a metadata block: every audit body is the
+    trailing section of a journal block. *)
 
 val sync : ?tail:tail -> t -> unit
 (** Flush pending journal entries into journal blocks and force all
@@ -135,11 +136,16 @@ val sync : ?tail:tail -> t -> unit
 
 (** {1 Shared metadata blocks}
 
-    A journal block carrying an audit tail has two halves: its entries,
-    one reference each, and the tail, one reference while the audit
-    trail holds it. The block dies when both halves have let go, and
-    the cleaner moves it once, reporting the move through
-    [on_audit_move] (see {!compact_segment}). *)
+    A journal block carrying an audit tail has two halves: its entries
+    (possibly none), one reference each, and the tail, one reference
+    while the audit trail holds it. The block dies when both halves
+    have let go, and the cleaner moves it once, reporting the move
+    through [on_audit_move] (see {!compact_segment}). *)
+
+val append_tail : t -> tail -> unit
+(** Append [tail] alone, in a journal block with no entries, held as in
+    {!sync} (an audit body written between barriers). Nothing else is
+    flushed or forced. *)
 
 val hold_tail : t -> addr -> unit
 (** The audit trail takes its reference on the journal block at [addr]
@@ -265,9 +271,8 @@ val check : ?extra_live:addr list -> t -> string list
 (** Invariant violations (empty = healthy): current table blocks live
     and correctly tagged, retained history blocks live, journal
     refcounts consistent, live-block accounting matches. [extra_live]
-    are the audit trail's blocks: standalone ones must be live audit
-    blocks, and the journal blocks whose tail the store holds must be
-    exactly the shared ones among them. *)
+    are the audit trail's blocks, which must be exactly the journal
+    blocks whose tail the store holds. *)
 
 val drop_caches : t -> unit
 (** Empty the block and object caches (cold-cache experiment phases);
@@ -287,8 +292,8 @@ val compact_segment :
     reclaimed: data blocks are re-appended and all in-memory references
     rewritten (a [Relocate] journal entry records the moves for
     recovery), journal blocks are re-homed, checkpoints are rewritten
-    fresh, and audit blocks, and journal blocks holding an audit tail,
-    are reported through [on_audit_move] so the audit trail can update
-    its index. Returns the number of blocks
+    fresh, and the moves of journal blocks holding an audit tail are
+    reported through [on_audit_move] so the audit trail can update its
+    index. Returns the number of blocks
     moved; [Error _] if the segment is not closed. The caller should
     {!sync} afterwards. *)

@@ -80,8 +80,7 @@ let encode_index landmarks marks =
       Bcodec.w_i64 w l.l_object;
       Bcodec.w_int w l.l_bytes)
     landmarks;
-  (* Cross-shard marks follow the per-object landmarks; indexes written
-     before marks existed simply end here. *)
+  (* Cross-shard marks follow the per-object landmarks. *)
   Bcodec.w_int w (List.length marks);
   List.iter
     (fun m ->
@@ -97,13 +96,14 @@ let encode_index landmarks marks =
     marks;
   Bcodec.contents w
 
+(* The empty index is a fresh index object; anything else decodes
+   whole, with no bytes left over, or not at all. *)
 let decode_index b =
   if Bytes.length b = 0 then ([], [])
   else begin
     let r = Bcodec.reader b in
-    let n = Bcodec.r_int r in
     let landmarks =
-      List.init n (fun _ ->
+      List.init (Bcodec.r_int r) (fun _ ->
           let l_name = Bcodec.r_string r in
           let l_source = Bcodec.r_i64 r in
           let l_taken_at = Bcodec.r_i64 r in
@@ -112,23 +112,19 @@ let decode_index b =
           { l_name; l_source; l_taken_at; l_object; l_bytes })
     in
     let marks =
-      if Bcodec.remaining r = 0 then []
-      else begin
-        let n = Bcodec.r_int r in
-        List.init n (fun _ ->
-            let m_name = Bcodec.r_string r in
-            let m_at = Bcodec.r_i64 r in
-            let k = Bcodec.r_int r in
-            let m_heads =
-              List.init k (fun _ ->
-                  let sid = Bcodec.r_int r in
-                  let ri = Bcodec.r_int r in
-                  let head = Chain.read_head r in
-                  (sid, ri, head))
-            in
-            { m_name; m_at; m_heads })
-      end
+      List.init (Bcodec.r_int r) (fun _ ->
+          let m_name = Bcodec.r_string r in
+          let m_at = Bcodec.r_i64 r in
+          let m_heads =
+            List.init (Bcodec.r_int r) (fun _ ->
+                let sid = Bcodec.r_int r in
+                let ri = Bcodec.r_int r in
+                let head = Chain.read_head r in
+                (sid, ri, head))
+          in
+          { m_name; m_at; m_heads })
     in
+    if Bcodec.remaining r <> 0 then raise (Bcodec.Decode_error "landmark index: trailing bytes");
     (landmarks, marks)
   end
 
@@ -145,11 +141,18 @@ let read_whole t oid =
     read_size 65536
   | _ -> raise (Fail "getattr")
 
+(* The index fails closed: one that cannot be read or decoded (a
+   negative count fails [List.init]) is an error naming it, never an
+   empty index a new entry could be written over. *)
 let load t =
-  try decode_index (read_whole t t.index_oid) with Fail _ | Bcodec.Decode_error _ -> ([], [])
+  match decode_index (read_whole t t.index_oid) with
+  | index -> Ok index
+  | exception Fail m -> err "landmark index (oid %Ld) is unreadable: %s" t.index_oid m
+  | exception (Bcodec.Decode_error m | Invalid_argument m) ->
+    err "landmark index (oid %Ld) is undecodable: %s" t.index_oid m
 
-let list t = fst (load t)
-let marks t = snd (load t)
+let list t = Result.map fst (load t)
+let marks t = Result.map snd (load t)
 
 let write_index t landmarks marks =
   let data = encode_index landmarks marks in
@@ -158,13 +161,15 @@ let write_index t landmarks marks =
     (call_exn t (Rpc.Write { oid = t.index_oid; off = 0; len = Bytes.length data; data = Some data }));
   match Target.handle t.target t.cred Rpc.Sync with _ -> ()
 
-let find t name = List.find_opt (fun l -> l.l_name = name) (list t)
-let find_mark t name = List.find_opt (fun m -> m.m_name = name) (marks t)
+let find t name = Result.map (List.find_opt (fun l -> l.l_name = name)) (list t)
+let find_mark t name = Result.map (List.find_opt (fun m -> m.m_name = name)) (marks t)
 
 let take t ~name ~at oid =
-  try
-    if find t name <> None then err "landmark %S already exists" name
-    else begin
+  match load t with
+  | Error e -> Error e
+  | Ok (lms, _) when List.exists (fun l -> l.l_name = name) lms -> err "landmark %S already exists" name
+  | Ok (lms, mks) -> (
+    try
       (* Preserve the version's contents and attributes. *)
       let attr =
         match call_exn t (Rpc.Get_attr { oid; at = Some at }) with
@@ -189,16 +194,15 @@ let take t ~name ~at oid =
         { l_name = name; l_source = oid; l_taken_at = at; l_object = archive;
           l_bytes = Bytes.length data }
       in
-      let lms, mks = load t in
       write_index t (l :: lms) mks;
       Ok l
-    end
-  with Fail m -> Error m
+    with Fail m -> Error m)
 
 let contents t name =
   match find t name with
-  | None -> err "no landmark %S" name
-  | Some l -> (try Ok (read_whole t l.l_object) with Fail m -> Error m)
+  | Error e -> Error e
+  | Ok None -> err "no landmark %S" name
+  | Ok (Some l) -> (try Ok (read_whole t l.l_object) with Fail m -> Error m)
 
 let restore_to t name target =
   match contents t name with
@@ -216,17 +220,18 @@ let restore_to t name target =
 (* --- cross-shard marks ------------------------------------------------ *)
 
 let mark t ~name =
-  if find_mark t name <> None then err "mark %S already exists" name
-  else
+  match load t with
+  | Error e -> Error e
+  | Ok (_, mks) when List.exists (fun m -> m.m_name = name) mks -> err "mark %S already exists" name
+  | Ok (lms, mks) -> (
     match Target.landmark_barrier t.target with
     | Error m -> Error m
     | Ok heads ->
       let m = { m_name = name; m_at = Simclock.now (Target.clock t.target); m_heads = heads } in
       (try
-         let lms, mks = load t in
          write_index t lms (m :: mks);
          Ok m
-       with Fail e -> Error e)
+       with Fail e -> Error e))
 
 let verify_since t (m : mark) =
   let entries = Target.members t.target in

@@ -50,15 +50,19 @@ val of_target : ?cred:S4.Rpc.credential -> Target.t -> t
     array's meta shard, where the partition table is).
     @raise Failure as {!create}. *)
 
+(** The index fails closed: every call that reads it answers [Error]
+    naming the index object when that object cannot be read or does
+    not decode, and {!take} and {!mark} then write nothing. *)
+
 val take : t -> name:string -> at:int64 -> int64 -> (landmark, string) result
 (** [take t ~name ~at oid] preserves [oid]'s version at time [at]
     (contents and attributes) under [name]. Fails if the name is
     already used or the version is no longer in the pool. *)
 
-val list : t -> landmark list
+val list : t -> (landmark list, string) result
 (** All landmarks, newest first. *)
 
-val find : t -> string -> landmark option
+val find : t -> string -> (landmark option, string) result
 
 val contents : t -> string -> (Bytes.t, string) result
 (** Read a landmark's preserved contents (a normal current read — no
@@ -77,10 +81,10 @@ val mark : t -> name:string -> (mark, string) result
     barrier instant and the sealed heads in the landmark index. Fails
     if the name is taken or any member's barrier failed. *)
 
-val marks : t -> mark list
+val marks : t -> (mark list, string) result
 (** All marks, newest first. *)
 
-val find_mark : t -> string -> mark option
+val find_mark : t -> string -> (mark option, string) result
 
 val verify_since : t -> mark -> (unit, string list) result
 (** Prove every member's audit chain is an untampered extension of the

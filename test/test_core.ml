@@ -186,9 +186,9 @@ let test_audit_recover () =
 
 (* Records that outgrow the buffer while the log is full stay
    buffered. Once there is room, the next barrier writes them out in
-   unsealed blocks first and seals them with a record-less tail in its
-   journal block: every record is on the chain, under the seal, and
-   back after recovery. *)
+   unsealed tails first, each in a journal block with no entries, and
+   seals them with a record-less tail in its journal block: every
+   record is on the chain, under the seal, and back after recovery. *)
 let test_audit_overgrown_buffer_barrier () =
   let _, disk, store = mk_store ~mb:8 () in
   let log = Store.log store in
@@ -740,9 +740,10 @@ let wipe_log_area disk =
 let anchor_errors d = List.filter (String.starts_with ~prefix:"device anchor") (Drive.fsck d)
 
 (* The device-held anchor fails closed: a synced drive whose log area
-   is wiped attaches degraded, and fsck names the anchor. A clean
-   reattach, and a crash image whose chain runs past the anchor, stay
-   clean. *)
+   is wiped attaches degraded, fsck names the anchor, and the event is
+   on the audit trail once, also after several barriers and a reattach
+   of the image they wrote. A clean reattach, and a crash image whose
+   chain runs past the anchor, stay clean. *)
 let test_off_chain_anchor_fails_closed () =
   let _, disk, d = mk_drive ~mb:16 () in
   let oid = create_file d alice "anchored" in
@@ -774,12 +775,28 @@ let test_off_chain_anchor_fails_closed () =
   let stats = Format.asprintf "%a" Drive.pp_stats d3 in
   let k = "device anchor off chain" in
   let rec has i = i + String.length k <= String.length stats && (String.sub stats i (String.length k) = k || has (i + 1)) in
-  check Alcotest.bool "pp_stats says so" true (has 0)
+  check Alcotest.bool "pp_stats says so" true (has 0);
+  let anchor_events d =
+    match Drive.handle d admin (Rpc.Read_audit { since = 0L; until = Int64.max_int }) with
+    | Rpc.R_audit rs ->
+      List.filter
+        (fun r -> r.Audit.op = "attach" && (not r.Audit.ok) && String.starts_with ~prefix:"device anchor off chain" r.Audit.info)
+        rs
+    | r -> Alcotest.failf "read_audit: %a" Rpc.pp_resp r
+  in
+  check Alcotest.int "the event is on the trail" 1 (List.length (anchor_events d3));
+  for _ = 1 to 3 do
+    ignore (create_file d3 alice "after the wipe");
+    check Alcotest.bool "barrier after the wipe" true (Drive.barrier d3 = None)
+  done;
+  check Alcotest.int "once, after several barriers" 1 (List.length (anchor_events d3));
+  check Alcotest.int "once, after a reattach" 1 (List.length (anchor_events (Drive.attach (copy_disk wiped))))
 
 (* An image written in another on-disk format is refused at attach,
    before recovery reads any of its blocks, with both versions named:
-   version 1 (pre-chain audit blocks) and version 2 (a standalone audit
-   block per barrier). *)
+   version 1 (pre-chain audit blocks), version 2 (a standalone audit
+   block per barrier) and version 3 (standalone audit blocks between
+   barriers). *)
 let test_superblock_version_checked () =
   let _, disk, d = mk_drive ~mb:16 () in
   check Alcotest.bool "synced" true (Drive.barrier d = None);
@@ -793,9 +810,9 @@ let test_superblock_version_checked () =
       | _ -> Alcotest.failf "a version %d image attached" v
       | exception Invalid_argument m ->
         check Alcotest.string "names both versions"
-          (Printf.sprintf "Drive.attach: on-disk format version %d, this build reads version 3" v)
+          (Printf.sprintf "Drive.attach: on-disk format version %d, this build reads version 4" v)
           m)
-    [ 1; 2 ]
+    [ 1; 2; 3 ]
 
 (* A negative oid is a malformed request: it answers [Bad_request] and
    leaves one audit record naming no object (the audit encoding has no

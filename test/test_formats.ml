@@ -1,7 +1,7 @@
 (* Golden on-disk formats. A fixed drive workload is replayed on a fresh
-   disk and one block of every self-checking kind is digested: an audit
-   block, a journal block, a journal block carrying an audit tail, a
-   segment summary, a dedicated
+   disk and one block of every self-checking kind is digested: a
+   journal block, a journal block carrying a sealed audit tail, one
+   carrying an unsealed audit tail, a segment summary, a dedicated
    checkpoint chunk and a checkpoint pack, plus the whole image. The
    pinned digests fix the bytes of this on-disk layout: a change to any
    encoder, to the CRC or to the block framing shows here as a digest
@@ -17,6 +17,7 @@ module Tag = S4_seglog.Tag
 module Store = S4_store.Obj_store
 module Rpc = S4.Rpc
 module Drive = S4.Drive
+module Audit = S4.Audit
 
 let check = Alcotest.check
 let mb = 1024 * 1024
@@ -40,7 +41,8 @@ let golden_drive () =
   let smalls = List.init 6 (fun _ -> create ()) in
   List.iteri (fun i oid -> write oid ~off:0 (pattern ~salt:i (300 + (97 * i)))) smalls;
   (* Enough audited reads between two barriers to fill the audit buffer
-     once: it goes out as a standalone block. *)
+     once: it goes out as an unsealed tail in a journal block with no
+     entries. *)
   for i = 1 to 240 do
     let oid = List.nth smalls (i mod 6) in
     ignore (rpc (Rpc.Get_attr { oid; at = None }))
@@ -62,9 +64,11 @@ let kind_of log addr tag =
   let b = Log.peek log addr in
   let magic = Bcodec.get_u16 b 0 in
   match tag with
-  | Tag.Audit when magic = 0x5542 -> Some "audit block"
-  | Tag.Journal when S4_seglog.Jblock.tail b <> None -> Some "journal block with audit tail"
-  | Tag.Journal -> Some "journal block"
+  | Tag.Journal -> (
+    match Audit.decode_block b with
+    | Some { Audit.seal = None; _ } -> Some "journal block with unsealed audit tail"
+    | Some _ -> Some "journal block with audit tail"
+    | None -> Some "journal block")
   | Tag.Checkpoint _ when magic = 0x4B43 -> Some "checkpoint chunk"
   | Tag.Ckpack when magic = 0x504B -> Some "checkpoint pack"
   | _ -> None
@@ -90,18 +94,19 @@ let golden_digests d =
     (Sha256.to_hex (Sha256.digest_bytes (Sim_disk.peek disk ~lba:0 ~sectors:(Sim_disk.capacity_sectors disk))));
   List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) firsts [])
 
-(* The audit block is the golden workload's one buffer-full flush;
-   every barrier's records ride in its journal block. The plain journal
-   block's digest is the one pinned before tails existed. *)
+(* The unsealed tail is the golden workload's one buffer-full flush, in
+   a journal block with no entries; every barrier's records ride sealed
+   in its journal block. The plain journal block's digest is the one
+   pinned before tails existed. *)
 let pinned =
   [
-    ("audit block", "17dce30fac94038db99cef2050c072f5138bdedf8d4c2723e3b3fc6739f3963d");
     ("checkpoint chunk", "90b287f26050f9262b48f99a674fea32b5ae5b1cc1fda09de228bd989aea1cb2");
     ("checkpoint pack", "2f1cd8555b7bd5412e801fbbb92697e8b493d13ce6b31ed56f3e99b7c4901e6c");
-    ("image", "d4c3f48f73169d49eb108a861fdcd5e90591163d35dc3ff3de819ab678554000");
+    ("image", "2902606d40c390ff75484bbd4bbf17108419ba01e2a80f1ac8f707c3ad0de7ff");
     ("journal block", "ca44b072ea14d3bafd66e74e54b17de0b727192c56319ed4f7c60c9148fb074d");
-    ("journal block with audit tail", "d13a15b71535365782cbc6b32b868d6e08f278f127f198f0ae24550d2dd051f9");
-    ("summary", "88c61230229dcf8b42a875c743995955ffada0ae89b6c35466498eedfad4523d");
+    ("journal block with audit tail", "5c5e9547a07e6d31d9693909ca1db60e22f0545e87d588cae5e0f66435b814fb");
+    ("journal block with unsealed audit tail", "cd544fe3f7e799aa7310df3b323908b6504c7561d60bfa5769c7b13be04857e7");
+    ("summary", "bd8d0bb5d09ab2030d2b422fd76b3401a89c696c05f9dbd42427de2e818d3146");
   ]
 
 let test_golden () =

@@ -381,7 +381,9 @@ let close_with_filler d oids =
    store's recovery then re-tags as its own data (ROADMAP item 1).
    Audit recovery cannot see such a block; its records
    must be the only ones missing, and the walk's only complaint the
-   gaps they leave. *)
+   gaps they leave. A gap can also leave the device anchor off the
+   recovered chain: the copy then attaches degraded, and the one
+   record past the live drive's must be the attach's record of it. *)
 let check_crash_copy ?(config = S4_workload.Systems.content_drive_config) what d =
   let d2 = Drive.attach ~config (copy_disk (Log.disk (Drive.log d))) in
   let taken, seen =
@@ -399,6 +401,14 @@ let check_crash_copy ?(config = S4_workload.Systems.content_drive_config) what d
   (match Drive.handle d2 Rpc.admin_cred (Rpc.Read_audit { since = 0L; until = Int64.max_int }) with
    | Rpc.R_audit rs ->
      let live = records_of seen in
+     let rs =
+       match List.rev rs with
+       | ev :: rest when Drive.degraded d2 ->
+         check Alcotest.(pair string bool) (what ^ ": the off-chain anchor is recorded") ("attach", false)
+           (ev.Audit.op, ev.Audit.ok);
+         List.rev rest
+       | _ -> rs
+     in
      check Alcotest.int (what ^ ": recovered records") (List.length live) (List.length rs);
      check Alcotest.bool (what ^ ": the live drive's records") true (rs = live)
    | r -> Alcotest.failf "%s: read_audit: %a" what Rpc.pp_resp r);
@@ -601,8 +611,9 @@ let test_timing_only_catalog () =
     (List.length catalog = 2 && catalog_copies attached = catalog)
 
 (* A catalog that no longer decodes is evidence, not a reason to start
-   over: after a restart the next barrier leaves it as it is and marks
-   the meta shard degraded, and fsck names it. *)
+   over: after a restart the next barrier leaves it as it is, marks
+   the meta shard degraded and puts the event on the audit trail, once
+   however many barriers follow, and fsck names it. *)
 let test_bad_catalog_degrades_meta () =
   let clock = Simclock.create () in
   let drives = List.init 2 (fun _ -> content_drive ~mb:64 clock) in
@@ -648,7 +659,21 @@ let test_bad_catalog_degrades_meta () =
   in
   let st2 = Drive.store meta2 and oid2 = catalog meta2 in
   check Alcotest.bool "the catalog is left as it was" true
-    (Store.size st2 oid2 = len && Store.read st2 oid2 ~off:0 ~len = garbage)
+    (Store.size st2 oid2 = len && Store.read st2 oid2 ~off:0 ~len = garbage);
+  for _ = 1 to 3 do
+    creates attached
+  done;
+  match
+    (Router.backend attached).Backend.submit Rpc.admin_cred
+      [| Rpc.Read_audit { since = 0L; until = Int64.max_int } |]
+  with
+  | [| Rpc.R_audit rs |] ->
+    check Alcotest.int "the event is on the trail once" 1
+      (List.length
+         (List.filter
+            (fun r -> r.Audit.op = "catalog" && (not r.Audit.ok) && r.Audit.info = "integrity catalog undecodable")
+            rs))
+  | _ -> Alcotest.fail "read_audit"
 
 (* --- one metadata block per barrier ------------------------------------ *)
 
@@ -761,6 +786,48 @@ let test_torn_metadata_block () =
   check Alcotest.bool "not degraded" false (Drive.degraded d2);
   check Alcotest.(list string) "fsck" [] (Drive.fsck d2)
 
+(* The trail's blocks and the tails the store holds are one set: fsck
+   names a trail block the store has let go of, and a held tail no
+   trail block owns. *)
+let test_fsck_trail_ownership () =
+  let clock = Simclock.create () in
+  let d = content_drive ~mb:64 clock in
+  let cred = Rpc.admin_cred in
+  let oid =
+    match Drive.handle d cred (Rpc.Create { acl = [] }) with
+    | Rpc.R_oid oid -> oid
+    | r -> Alcotest.failf "create: %a" Rpc.pp_resp r
+  in
+  for i = 1 to 3 do
+    (match Drive.handle d cred (Rpc.Write { oid; off = 0; len = 4; data = Some (Bytes.make 4 (Char.chr (96 + i))) }) with
+     | Rpc.R_unit -> ()
+     | r -> Alcotest.failf "write: %a" Rpc.pp_resp r);
+    check Alcotest.bool "barrier" true (Drive.barrier d = None)
+  done;
+  check Alcotest.(list string) "fsck before" [] (Drive.fsck d);
+  let st = Drive.store d and log = Drive.log d in
+  let trail = Audit.block_addrs (Drive.audit d) in
+  let let_go = List.hd trail in
+  Store.release_tail st let_go;
+  check Alcotest.(list string) "names the trail block the store let go of"
+    [ Printf.sprintf "audit block %d is not a tail the store holds" let_go ]
+    (Drive.fsck d);
+  Store.hold_tail st let_go;
+  check Alcotest.(list string) "clean once held again" [] (Drive.fsck d);
+  let stray =
+    match
+      List.find_opt
+        (fun (a, tag) -> tag = Tag.Journal && Log.is_live log a && not (List.mem a trail))
+        (Log.all_tagged log)
+    with
+    | Some (a, _) -> a
+    | None -> Alcotest.fail "no live journal block outside the trail"
+  in
+  Store.hold_tail st stray;
+  check Alcotest.(list string) "names the held tail nobody owns"
+    [ Printf.sprintf "journal block %d holds an audit tail nobody owns" stray ]
+    (Drive.fsck d)
+
 (* --- compaction differential ----------------------------------------- *)
 
 
@@ -789,16 +856,17 @@ let retained st (e : S4_seglog.Jblock.entry) =
   | exception Store.No_such_object _ -> false
 
 (* The closed segments a cleaner pass may compact that hold data and a
-   checkpoint image of one owner side by side, standalone audit blocks,
-   journal blocks carrying a tail the audit trail holds, and the two
-   half-dead kinds of shared slot: a held tail whose entries have all
-   expired, and live entries whose tail has expired, each as (index,
-   epoch). *)
+   checkpoint image of one owner side by side, an entry-less journal
+   block carrying a held unsealed tail (an expiry floor or a buffer-full
+   flush), journal blocks carrying a sealed tail the audit trail holds,
+   and the two half-dead kinds of shared slot: a held tail whose
+   entries have all expired, and live entries whose tail has expired,
+   each as (index, epoch). *)
 let victim_kinds d =
   let log = Drive.log d in
   let st = Drive.store d in
   let usable = float_of_int (Log.blocks_per_segment log - 1) in
-  let shared = ref [] and audit = ref [] and sealed = ref [] in
+  let shared = ref [] and unsealed = ref [] and sealed = ref [] in
   let tail_only = ref [] and entries_only = ref [] in
   Array.iter
     (fun i ->
@@ -813,22 +881,25 @@ let victim_kinds d =
             | Tag.Checkpoint { oid } ->
               if List.exists (function _, Tag.Data { oid = o; _ } -> Int64.equal o oid | _ -> false) live
               then note shared
-            | Tag.Audit -> note audit
             | Tag.Journal -> (
               let b = Log.peek log a in
               let held = Store.holds_tail st a in
-              if held then note sealed;
+              let tail_sealed =
+                match Audit.decode_block b with Some blk -> Some (blk.Audit.seal <> None) | None -> None
+              in
+              if held && tail_sealed = Some true then note sealed;
               match S4_seglog.Jblock.decode b with
-              | Some (_, (_ :: _ as entries)) ->
+              | Some (_, []) -> if held && tail_sealed = Some false then note unsealed
+              | Some (_, entries) ->
                 let live_entries = List.exists (retained st) entries in
                 if held && not live_entries then note tail_only;
-                if (not held) && live_entries && S4_seglog.Jblock.tail b <> None then note entries_only
-              | _ -> ())
+                if (not held) && live_entries && tail_sealed <> None then note entries_only
+              | None -> ())
             | _ -> ())
           live
       end)
     (Log.segments log);
-  (!shared, !audit, !sealed, !tail_only, !entries_only)
+  (!shared, !unsealed, !sealed, !tail_only, !entries_only)
 
 (* Whether a pass emptied one of [segs]: no live block left, or the
    segment was reclaimed (and perhaps reopened). *)
@@ -844,8 +915,9 @@ let compacted d segs =
    object is large enough (600 blocks) for its checkpoint image to
    take dedicated chunks, written next to its data; the test fails
    unless some pass emptied a segment holding such a pair, and
-   segments holding standalone audit blocks, journal blocks that carry
-   a held audit tail, a held tail whose entries have all expired (each
+   segments holding an entry-less journal block that carries a held
+   unsealed tail, journal blocks that carry a held sealed tail, a held
+   tail whose entries have all expired (each
    round FlushO's a probe object written in a barrier of its own), and
    live entries whose tail has expired. Each round's crash image must
    also read back the live drive's audit trail. *)
@@ -886,7 +958,7 @@ let test_compaction_differential () =
   let filler = create () in
   let probe = create () in
   let instants = ref [] in
-  let seen_shared = ref false and seen_audit = ref false and seen_sealed = ref false in
+  let seen_shared = ref false and seen_unsealed = ref false and seen_sealed = ref false in
   let seen_tail_only = ref false and seen_entries_only = ref false in
   for round = 1 to 24 do
     for step = 1 to 30 do
@@ -911,13 +983,13 @@ let test_compaction_differential () =
     check Alcotest.bool "probe barrier" true (Drive.barrier d = None);
     unit_resp "flusho"
       (Drive.handle d cred (Rpc.Flush_object { oid = probe; until = Simclock.now clock }));
-    let shared, audit, sealed, tail_only, entries_only = victim_kinds d in
+    let shared, unsealed, sealed, tail_only, entries_only = victim_kinds d in
     let cutoff_before = Drive.detection_cutoff d in
     let retained = List.filter (fun at -> Int64.compare at cutoff_before >= 0) !instants in
     let before = contents st retained in
     ignore (Drive.run_cleaner d);
     seen_shared := !seen_shared || compacted d shared;
-    seen_audit := !seen_audit || compacted d audit;
+    seen_unsealed := !seen_unsealed || compacted d unsealed;
     seen_sealed := !seen_sealed || compacted d sealed;
     seen_tail_only := !seen_tail_only || compacted d tail_only;
     seen_entries_only := !seen_entries_only || compacted d entries_only;
@@ -968,7 +1040,7 @@ let test_compaction_differential () =
       Alcotest.failf "round %d: recovered journals differ" round
   done;
   check Alcotest.bool "compacted data and a checkpoint image of one owner" true !seen_shared;
-  check Alcotest.bool "compacted audit blocks" true !seen_audit;
+  check Alcotest.bool "compacted an entry-less journal block carrying an unsealed tail" true !seen_unsealed;
   check Alcotest.bool "compacted journal blocks carrying a sealed tail" true !seen_sealed;
   check Alcotest.bool "compacted a held tail whose entries expired" true !seen_tail_only;
   check Alcotest.bool "compacted live entries whose tail expired" true !seen_entries_only
@@ -1031,5 +1103,7 @@ let () =
             test_same_blocks_mirrored_array;
           Alcotest.test_case "torn metadata block loses both halves" `Quick
             test_torn_metadata_block;
+          Alcotest.test_case "fsck names trail blocks the store does not hold" `Quick
+            test_fsck_trail_ownership;
         ] );
     ]

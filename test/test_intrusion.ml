@@ -120,8 +120,9 @@ let test_mark_roundtrip_single () =
   (match Drive.handle drive Rpc.admin_cred Rpc.Sync with Rpc.R_unit -> () | _ -> ());
   let lm2 = Landmark.of_target target in
   (match Landmark.find_mark lm2 "clean" with
-   | None -> Alcotest.fail "mark lost across handles"
-   | Some m2 ->
+   | Error e -> Alcotest.fail e
+   | Ok None -> Alcotest.fail "mark lost across handles"
+   | Ok (Some m2) ->
      check Alcotest.bool "same instant" true (m2.Landmark.m_at = m.Landmark.m_at);
      (match Landmark.verify_since lm2 m2 with
       | Ok () -> ()
@@ -172,6 +173,44 @@ let test_landmark_create_poisoned_index () =
     check Alcotest.bool "diagnostic names the tool" true
       (String.length m >= 16 && String.sub m 0 16 = "Landmark.create:")
   | _ -> Alcotest.fail "Landmark.of_target accepted a dead index object"
+
+(* A landmark index that no longer decodes fails closed. Read as empty,
+   it let the next mark write an index holding that mark alone, losing
+   the earlier mark and the chain heads [verify_since] trusts. Every
+   call that reads it now answers an error naming the index object,
+   and neither [mark] nor [take] writes anything over it. *)
+let test_corrupt_index_fails_closed () =
+  let clock, drive, target, tr = mk_single () in
+  let fh = write_file tr "etc/passwd" "root:x:0:0" in
+  tick clock;
+  let lm = Landmark.of_target target in
+  (match Landmark.mark lm ~name:"before-intrusion" with Ok _ -> () | Error e -> Alcotest.fail e);
+  let admin req =
+    match Drive.handle drive Rpc.admin_cred req with
+    | Rpc.R_error _ as r -> Alcotest.failf "%s: %a" (Rpc.op_name req) Rpc.pp_resp r
+    | r -> r
+  in
+  let index = match admin (Rpc.P_mount { name = "landmarks"; at = None }) with Rpc.R_oid oid -> oid | _ -> assert false in
+  ignore (admin (Rpc.Write { oid = index; off = 0; len = 64; data = Some (Bytes.make 64 '\xff') }));
+  let index_bytes () =
+    match admin (Rpc.Read { oid = index; off = 0; len = 1 lsl 16; at = None }) with
+    | Rpc.R_data b -> b
+    | _ -> assert false
+  in
+  let corrupt = index_bytes () in
+  let names_index what = function
+    | Ok _ -> Alcotest.failf "%s: accepted an undecodable index" what
+    | Error e ->
+      let k = Printf.sprintf "oid %Ld" index in
+      let rec has i = i + String.length k <= String.length e && (String.sub e i (String.length k) = k || has (i + 1)) in
+      if not (has 0) then Alcotest.failf "%s: %S does not name the index" what e
+  in
+  names_index "marks" (Landmark.marks lm);
+  names_index "list" (Landmark.list lm);
+  names_index "find_mark" (Landmark.find_mark lm "before-intrusion");
+  names_index "mark" (Landmark.mark lm ~name:"after");
+  names_index "take" (Landmark.take lm ~name:"copy" ~at:(Simclock.now clock) fh);
+  check Alcotest.bytes "the index is left as it was" corrupt (index_bytes ())
 
 (* --- damage reports --------------------------------------------------- *)
 
@@ -467,6 +506,7 @@ let () =
           Alcotest.test_case "mark records one head per shard" `Quick test_mark_array_heads;
           Alcotest.test_case "create fails loudly on a poisoned index" `Quick
             test_landmark_create_poisoned_index;
+          Alcotest.test_case "a corrupt index fails closed" `Quick test_corrupt_index_fails_closed;
         ] );
       ( "forensics",
         [ Alcotest.test_case "denied ops reported separately" `Quick test_denied_ops_reported ] );

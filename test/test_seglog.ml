@@ -37,10 +37,28 @@ let test_tag_roundtrip () =
       Tag.Data { oid = 42L; fblock = 17 };
       Tag.Journal;
       Tag.Checkpoint { oid = 7L };
-      Tag.Objmap;
-      Tag.Audit;
-      Tag.Summary;
+      Tag.Ckpack;
+      Tag.Unknown;
     ]
+
+(* Each remaining kind keeps its byte; the bytes of the retired kinds
+   (an object map and a summary tag nothing wrote, and the standalone
+   audit block) no longer decode. *)
+let test_tag_bytes () =
+  let first_byte tg =
+    let w = S4_util.Bcodec.writer () in
+    Tag.encode w tg;
+    Bytes.get_uint8 (S4_util.Bcodec.contents w) 0
+  in
+  check Alcotest.(list int) "kind bytes" [ 0; 1; 2; 7; 6 ]
+    (List.map first_byte
+       [ Tag.Data { oid = 1L; fblock = 0 }; Tag.Journal; Tag.Checkpoint { oid = 1L }; Tag.Ckpack; Tag.Unknown ]);
+  List.iter
+    (fun k ->
+      match Tag.decode (S4_util.Bcodec.reader (Bytes.make 1 (Char.chr k))) with
+      | tg -> Alcotest.failf "kind %d decoded as %a" k Tag.pp tg
+      | exception S4_util.Bcodec.Decode_error _ -> ())
+    [ 3; 4; 5 ]
 
 let test_tag_oid () =
   check (Alcotest.option Alcotest.int64) "data oid" (Some 3L)
@@ -145,7 +163,7 @@ let test_read_buffered_is_free () =
 
 let test_read_after_sync_charges () =
   let clock, _, log = mk () in
-  let a = Log.append log Tag.Audit ~data:(block 4096 'c') () in
+  let a = Log.append log Tag.Ckpack ~data:(block 4096 'c') () in
   Log.sync log;
   let t = Simclock.now clock in
   let b = Log.read log a in
@@ -326,7 +344,7 @@ let prop_summary_roundtrip =
                | 0 -> Tag.Journal
                | 1 -> Tag.Data { oid = Int64.of_int a; fblock = b }
                | 2 -> Tag.Checkpoint { oid = Int64.of_int b }
-               | _ -> Tag.Audit)
+               | _ -> Tag.Ckpack)
              pairs)
       in
       match Summary.decode (Summary.encode ~block_size:4096 { Summary.epoch = 5; tags }) with
@@ -339,6 +357,7 @@ let () =
       ( "tag",
         [
           Alcotest.test_case "roundtrip" `Quick test_tag_roundtrip;
+          Alcotest.test_case "kind bytes" `Quick test_tag_bytes;
           Alcotest.test_case "oid" `Quick test_tag_oid;
         ] );
       ( "jblock",

@@ -253,7 +253,9 @@ let test_landmark_index_and_restore () =
   ignore (write_file tr "conf" "broken config");
   let lm = Landmark.create drive in
   (match Landmark.take lm ~name:"golden" ~at:t fh with Ok _ -> () | Error m -> Alcotest.fail m);
-  check Alcotest.bool "listed" true (List.exists (fun l -> l.Landmark.l_name = "golden") (Landmark.list lm));
+  check Alcotest.bool "listed" true (match Landmark.list lm with
+     | Ok lms -> List.exists (fun l -> l.Landmark.l_name = "golden") lms
+     | Error e -> Alcotest.fail e);
   check Alcotest.bool "duplicate refused" true
     (match Landmark.take lm ~name:"golden" ~at:t fh with Error _ -> true | Ok _ -> false);
   (match Landmark.restore_to lm "golden" fh with
